@@ -54,14 +54,22 @@ func joinClients(t *testing.T, addr string, n, samples int) *sync.WaitGroup {
 					u.Labels = append(u.Labels, cls)
 				}
 			}
-			// Retry until the server is listening.
-			var lastErr error
-			for attempt := 0; attempt < 200; attempt++ {
-				if _, lastErr = plos.Join(addr, u, plos.WithSeed(int64(i))); lastErr == nil {
+			// Retry until the server is listening. The bound is time, not
+			// attempts: a refused dial fails in microseconds, so an attempt
+			// count runs out before a slow start binds the port, and the
+			// server then waits forever for the missing device.
+			deadline := time.Now().Add(20 * time.Second)
+			for {
+				_, err := plos.Join(addr, u, plos.WithSeed(int64(i)))
+				if err == nil {
 					return
 				}
+				if time.Now().After(deadline) {
+					t.Errorf("client %d: %v", i, err)
+					return
+				}
+				time.Sleep(10 * time.Millisecond)
 			}
-			t.Errorf("client %d: %v", i, lastErr)
 		}(i)
 	}
 	return &wg

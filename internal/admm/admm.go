@@ -9,6 +9,7 @@ import (
 	"plos/internal/mat"
 	"plos/internal/obs"
 	"plos/internal/parallel"
+	"plos/internal/shard"
 )
 
 // ZProx computes the z-update: given sum = Σ_t (x_t + u_t) and the worker
@@ -75,47 +76,25 @@ func (r Residuals) Converged(workers int, epsAbs float64) bool {
 	return r.Dual <= math.Sqrt(2*t)*epsAbs && r.Primal <= math.Sqrt(t)*epsAbs
 }
 
-// DropWorker removes worker i's dual state, shrinking the consensus to the
-// remaining workers. The wire-protocol server uses it when a device dies
-// mid-training (dropout tolerance); subsequent Steps expect one fewer x.
-func (c *Consensus) DropWorker(i int) error {
-	if i < 0 || i >= len(c.U) {
-		return fmt.Errorf("admm: DropWorker: index %d out of range [0,%d)", i, len(c.U))
-	}
-	c.U = append(c.U[:i], c.U[i+1:]...)
-	return nil
-}
-
-// Workers returns the current worker count.
-func (c *Consensus) Workers() int { return len(c.U) }
-
 // Step consumes this round's worker variables x_t (len(xs) must equal the
 // worker count), performs the z- and u-updates, and returns the residuals.
+// It is the one-partition case of the sharded reduction: the consensus sum
+// and the dual update are shard.SumXU and shard.ApplyZ over every worker.
 func (c *Consensus) Step(xs []mat.Vector) (Residuals, error) {
 	if len(xs) != len(c.U) {
 		return Residuals{}, fmt.Errorf("admm: Step: got %d worker updates, want %d", len(xs), len(c.U))
 	}
 	dim := len(c.Z)
-	sum := mat.NewVector(dim)
 	for t, x := range xs {
 		if len(x) != dim {
 			return Residuals{}, fmt.Errorf("admm: Step: worker %d sent %d dims, want %d", t, len(x), dim)
 		}
-		sum.Add(x)
-		sum.Add(c.U[t])
 	}
-	zNew := c.prox(sum, len(xs), c.Rho)
-
-	var res Residuals
-	res.Dual = c.Rho * math.Sqrt(2*float64(len(xs))) * mat.Dist2(zNew, c.Z)
-	var primalSq float64
-	for t, x := range xs {
-		// u_t += x_t − z_new; Δu_t = x_t − z_new.
-		du := mat.SubVec(x, zNew)
-		primalSq += du.SquaredNorm()
-		c.U[t].Add(du)
+	zNew := c.prox(shard.SumXU(xs, c.U, dim), len(xs), c.Rho)
+	res := Residuals{
+		Dual:   c.Rho * math.Sqrt(2*float64(len(xs))) * mat.Dist2(zNew, c.Z),
+		Primal: math.Sqrt(shard.ApplyZ(xs, c.U, zNew)),
 	}
-	res.Primal = math.Sqrt(primalSq)
 	c.Z = zNew
 	return res, nil
 }
@@ -135,10 +114,6 @@ type Options struct {
 	// identical for any value — the z- and u-updates fold the gathered
 	// x_t in worker-index order regardless of solve completion order.
 	Workers int
-	// Parallel is the legacy one-goroutine-per-worker switch, superseded
-	// by Workers (which already defaults to a full pool); it is kept so
-	// existing callers compile and has no additional effect.
-	Parallel bool
 	// Obs, when non-nil, receives per-round counters, residual gauges, a
 	// round-duration histogram and one SpanADMMRound per round. Purely
 	// observational — iterates are bit-identical with or without it.
@@ -169,14 +144,16 @@ type RunInfo struct {
 // not met within MaxIter rounds. The state reached is still returned.
 var ErrMaxIterations = errors.New("admm: maximum iterations reached")
 
-// Run drives consensus ADMM in-process until the paper's residual stopping
-// rule fires. It returns the final consensus state (z and the duals).
-func Run(dim, workers int, update XUpdater, prox ZProx, opts Options) (*Consensus, RunInfo, error) {
+// Run drives consensus ADMM in-process from the consensus z0 (the duals
+// start at zero) until the paper's residual stopping rule fires. It
+// returns the final consensus state (z and the duals).
+func Run(z0 mat.Vector, workers int, update XUpdater, prox ZProx, opts Options) (*Consensus, RunInfo, error) {
 	o := opts.withDefaults()
-	cons, err := NewConsensus(dim, workers, o.Rho, prox)
+	cons, err := NewConsensus(len(z0), workers, o.Rho, prox)
 	if err != nil {
 		return nil, RunInfo{}, err
 	}
+	copy(cons.Z, z0)
 	info := RunInfo{}
 	xs := make([]mat.Vector, workers)
 	for iter := 0; iter < o.MaxIter; iter++ {

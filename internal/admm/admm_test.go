@@ -27,7 +27,7 @@ func TestRunConsensusAveraging(t *testing.T) {
 	// With g = 0, the consensus of quadratic workers is the mean of the
 	// targets.
 	targets := []mat.Vector{{1, 2}, {3, 4}, {5, 6}}
-	cons, info, err := Run(2, 3, quadWorker(targets, 1), AverageZ, Options{EpsAbs: 1e-7, MaxIter: 2000})
+	cons, info, err := Run(mat.NewVector(2), 3, quadWorker(targets, 1), AverageZ, Options{EpsAbs: 1e-7, MaxIter: 2000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestRunSquaredNormProx(t *testing.T) {
 	// g(z) = ||z||² shrinks the consensus: minimize ||z||² + Σ½||z−a_t||²
 	// has closed form z* = Σa_t / (T + 2).
 	targets := []mat.Vector{{4, 0}, {8, 0}}
-	cons, _, err := Run(2, 2, quadWorker(targets, 1), SquaredNormZ, Options{EpsAbs: 1e-8, MaxIter: 5000})
+	cons, _, err := Run(mat.NewVector(2), 2, quadWorker(targets, 1), SquaredNormZ, Options{EpsAbs: 1e-8, MaxIter: 5000})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -56,12 +56,12 @@ func TestRunSquaredNormProx(t *testing.T) {
 
 func TestRunParallelMatchesSerial(t *testing.T) {
 	targets := []mat.Vector{{1, 1}, {2, -1}, {-3, 0}, {0, 5}}
-	serial, _, err := Run(2, 4, quadWorker(targets, 1), AverageZ, Options{EpsAbs: 1e-8, MaxIter: 3000})
+	serial, _, err := Run(mat.NewVector(2), 4, quadWorker(targets, 1), AverageZ, Options{EpsAbs: 1e-8, MaxIter: 3000, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := Run(2, 4, quadWorker(targets, 1), AverageZ,
-		Options{EpsAbs: 1e-8, MaxIter: 3000, Parallel: true})
+	parallel, _, err := Run(mat.NewVector(2), 4, quadWorker(targets, 1), AverageZ,
+		Options{EpsAbs: 1e-8, MaxIter: 3000, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunWorkerError(t *testing.T) {
 		}
 		return mat.NewVector(2), nil
 	}
-	_, _, err := Run(2, 3, update, AverageZ, Options{})
+	_, _, err := Run(mat.NewVector(2), 3, update, AverageZ, Options{})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped worker error", err)
 	}
@@ -88,7 +88,7 @@ func TestRunMaxIterations(t *testing.T) {
 	// A worker that never agrees: x_t alternates, consensus can't settle
 	// in 1 iteration.
 	targets := []mat.Vector{{100, 0}, {-100, 0}}
-	_, info, err := Run(2, 2, quadWorker(targets, 1), AverageZ, Options{MaxIter: 1, EpsAbs: 1e-12})
+	_, info, err := Run(mat.NewVector(2), 2, quadWorker(targets, 1), AverageZ, Options{MaxIter: 1, EpsAbs: 1e-12})
 	if !errors.Is(err, ErrMaxIterations) {
 		t.Errorf("err = %v, want ErrMaxIterations", err)
 	}
@@ -156,7 +156,7 @@ func TestPropertyQuadraticConsensus(t *testing.T) {
 			want.Add(targets[t])
 		}
 		want.Scale(1 / float64(workers))
-		cons, _, err := Run(dim, workers, quadWorker(targets, rho), AverageZ,
+		cons, _, err := Run(mat.NewVector(dim), workers, quadWorker(targets, rho), AverageZ,
 			Options{Rho: rho, EpsAbs: 1e-7, MaxIter: 5000})
 		if err != nil {
 			return false
@@ -197,34 +197,5 @@ func TestPropertySquaredNormProxClosedForm(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDropWorker(t *testing.T) {
-	cons, err := NewConsensus(2, 3, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons.U[0][0] = 10
-	cons.U[1][0] = 20
-	cons.U[2][0] = 30
-	if err := cons.DropWorker(1); err != nil {
-		t.Fatalf("DropWorker: %v", err)
-	}
-	if cons.Workers() != 2 {
-		t.Fatalf("Workers = %d", cons.Workers())
-	}
-	if cons.U[0][0] != 10 || cons.U[1][0] != 30 {
-		t.Errorf("duals after drop: %v", cons.U)
-	}
-	// Step now expects 2 workers.
-	if _, err := cons.Step([]mat.Vector{{1, 1}, {2, 2}}); err != nil {
-		t.Errorf("Step after drop: %v", err)
-	}
-	if err := cons.DropWorker(5); err == nil {
-		t.Error("out-of-range drop should error")
-	}
-	if err := cons.DropWorker(-1); err == nil {
-		t.Error("negative drop should error")
 	}
 }

@@ -26,7 +26,7 @@ func TrainCentralized(users []UserData, cfg Config) (*Model, TrainInfo, error) {
 	if err != nil {
 		return nil, TrainInfo{}, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	tCount := len(users)
 	state := &centralState{
 		users:   users,
@@ -65,16 +65,8 @@ func TrainCentralized(users []UserData, cfg Config) (*Model, TrainInfo, error) {
 		state.weights[t] = weights
 	}
 
-	cfg.Obs.Counter(obs.MetricTrainRuns, "").Inc()
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "centralized", Users: tCount})
-	}
 	info := TrainInfo{}
-	cccpInfo, err := optimize.CCCP(func(round int) (float64, error) {
-		var start time.Time
-		if cfg.Obs != nil {
-			start = time.Now()
-		}
+	err = RunCCCP(cfg, "centralized", tCount, nil, nil, &info, func(round int) (float64, int, error) {
 		if cfg.Obs.FlightEnabled() {
 			cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
 		}
@@ -88,45 +80,15 @@ func TrainCentralized(users []UserData, cfg Config) (*Model, TrainInfo, error) {
 		obj, rounds, qpIters, err := state.solveConvexified()
 		info.CutRounds += rounds
 		info.QPIterations += qpIters
-		if err != nil {
-			return 0, err
-		}
-		if r := cfg.Obs; r != nil {
-			r.Counter(obs.MetricCCCPIterations, "").Inc()
-			r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-			r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start,
-				Dur: time.Since(start), Round: round, User: -1, Value: obj})
-			if r.FlightEnabled() {
-				r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-					Objective: obj, SignFlips: flips, Dur: time.Since(start)})
-			}
-		}
-		return obj, nil
-	}, cfg.CCCPTol, cfg.MaxCCCPIter)
-	// A non-monotone CCCP step with an inexact inner QP is a soft failure:
-	// surface everything else.
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+		return obj, flips, err
+	})
+	if err != nil {
 		return nil, info, fmt.Errorf("core: TrainCentralized: %w", err)
-	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: cccpInfo.Converged,
-			Objective: cccpInfo.Objective, Round: cccpInfo.Iterations})
 	}
 	for t := range state.sets {
 		info.Constraints += state.sets[t].Len()
 	}
-	if r := cfg.Obs; r != nil {
-		converged := 0.0
-		if info.CCCPConverged {
-			converged = 1
-		}
-		r.Gauge(obs.MetricCCCPConverged, "").Set(converged)
-		r.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
-	}
+	cfg.Obs.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
 	model := &Model{W0: state.w0, W: state.w}
 	return model, info, nil
 }

@@ -23,7 +23,7 @@ func (u UserData) NumLabeled() int { return len(u.Y) }
 func (u UserData) NumSamples() int { return u.X.Rows }
 
 // Config holds the PLOS hyperparameters and solver knobs. Zero fields are
-// replaced by defaults (see withDefaults); the paper selects Lambda, Cl, Cu
+// replaced by defaults (see WithDefaults); the paper selects Lambda, Cl, Cu
 // by leave-one-out cross-validation (internal/eval provides the harness).
 type Config struct {
 	// Lambda controls personalization: large values pull every w_t toward
@@ -76,7 +76,10 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the zero fields with the documented defaults. It is
+// the one defaults source for every trainer and for the wire protocol,
+// which ships the filled hyperparameters to the devices.
+func (c Config) WithDefaults() Config {
 	if c.Lambda <= 0 {
 		c.Lambda = 100
 	}

@@ -24,10 +24,6 @@ type DistConfig struct {
 	// runtime.GOMAXPROCS(0), 1 is strictly sequential. The trained model
 	// is bit-identical for any value (index-ordered consensus folds).
 	Workers int
-	// Parallel is the legacy one-goroutine-per-user switch, superseded by
-	// Workers (which already defaults to a full pool); kept for
-	// compatibility, no additional effect.
-	Parallel bool
 	// Compress, when enabled, makes the in-process trainer push every
 	// parameter vector crossing the server↔device boundary — z and u on
 	// the way down, w and v on the way up — through a per-user codec-v4
@@ -40,7 +36,9 @@ type DistConfig struct {
 	Compress compress.Config
 }
 
-func (d DistConfig) withDefaults() DistConfig {
+// WithDefaults fills the zero fields with the paper's §VI-E defaults:
+// ρ = 1, ε_abs = 1e-3, and at most 150 ADMM iterations per CCCP round.
+func (d DistConfig) WithDefaults() DistConfig {
 	if d.Rho <= 0 {
 		d.Rho = 1
 	}
@@ -105,7 +103,7 @@ func NewWorker(data UserData, totalUsers int, cfg Config) (*Worker, error) {
 	if totalUsers <= 0 {
 		return nil, fmt.Errorf("core: NewWorker: totalUsers must be positive, got %d", totalUsers)
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	m := data.NumSamples()
 	weights := make([]float64, m)
 	for i := 0; i < m; i++ {
@@ -347,8 +345,8 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 	if err != nil {
 		return nil, TrainInfo{}, err
 	}
-	cfg = cfg.withDefaults()
-	dcfg = dcfg.withDefaults()
+	cfg = cfg.WithDefaults()
+	dcfg = dcfg.WithDefaults()
 	tCount := len(users)
 
 	workers := make([]*Worker, tCount)
@@ -396,16 +394,8 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		return mat.Vector(y), nil
 	}
 
-	cfg.Obs.Counter(obs.MetricTrainRuns, "").Inc()
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "distributed", Users: tCount})
-	}
 	info := TrainInfo{}
-	cccpInfo, err := optimize.CCCP(func(round int) (float64, error) {
-		var start time.Time
-		if cfg.Obs != nil {
-			start = time.Now()
-		}
+	err = RunCCCP(cfg, "distributed", tCount, nil, nil, &info, func(round int) (float64, int, error) {
 		if cfg.Obs.FlightEnabled() {
 			cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
 		}
@@ -413,7 +403,6 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		for _, wk := range workers {
 			flips += wk.RefreshSigns(w0)
 		}
-		vs := make([]mat.Vector, tCount)
 		update := func(t int, z, u mat.Vector) (mat.Vector, error) {
 			if compOn {
 				var err error
@@ -438,10 +427,11 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 					return nil, err
 				}
 			}
-			vs[t] = v
 			return mat.SubVec(w, v), nil // consensus variable x_t = w_t − v_t
 		}
-		cons, runInfo, err := admm.Run(dim, tCount, update, admm.SquaredNormZ, admm.Options{
+		// Each round's ADMM starts from z = 0, not the current w0 (which the
+		// wire coordinator uses): the in-process models are pinned to it.
+		cons, runInfo, err := admm.Run(mat.NewVector(dim), tCount, update, admm.SquaredNormZ, admm.Options{
 			Rho:     dcfg.Rho,
 			EpsAbs:  dcfg.EpsAbs,
 			MaxIter: dcfg.MaxADMMIter,
@@ -452,7 +442,7 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		info.ADMMPrimal = runInfo.Final.Primal
 		info.ADMMDual = runInfo.Final.Dual
 		if err != nil && !errors.Is(err, admm.ErrMaxIterations) {
-			return 0, err
+			return 0, flips, err
 		}
 		w0 = cons.Z
 		// L of Eq. (23).
@@ -460,28 +450,10 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		for _, wk := range workers {
 			obj += wk.objectiveTerm()
 		}
-		if r := cfg.Obs; r != nil {
-			r.Counter(obs.MetricCCCPIterations, "").Inc()
-			r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-			r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start,
-				Dur: time.Since(start), Round: round, User: -1, Value: obj})
-			if r.FlightEnabled() {
-				r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-					Objective: obj, SignFlips: flips, Dur: time.Since(start)})
-			}
-		}
-		return obj, nil
-	}, cfg.CCCPTol, cfg.MaxCCCPIter)
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+		return obj, flips, nil
+	})
+	if err != nil {
 		return nil, info, fmt.Errorf("core: TrainDistributed: %w", err)
-	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
-	if cfg.Obs.FlightEnabled() {
-		cfg.Obs.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: cccpInfo.Converged,
-			Objective: cccpInfo.Objective, Round: cccpInfo.Iterations})
 	}
 
 	model := &Model{W0: w0, W: make([]mat.Vector, tCount)}
@@ -500,13 +472,6 @@ func TrainDistributed(users []UserData, cfg Config, dcfg DistConfig) (*Model, Tr
 		}
 		info.CompressEFNorm = math.Sqrt(efSq)
 	}
-	if r := cfg.Obs; r != nil {
-		converged := 0.0
-		if info.CCCPConverged {
-			converged = 1
-		}
-		r.Gauge(obs.MetricCCCPConverged, "").Set(converged)
-		r.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
-	}
+	cfg.Obs.Gauge(obs.MetricConstraintsActive, "").Set(float64(info.Constraints))
 	return model, info, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"plos/internal/mat"
+	"plos/internal/shard"
 )
 
 // LocalInit computes a user's device-side contribution to the federated
@@ -16,7 +17,7 @@ import (
 // way — this mirrors how the paper's distributed design keeps Algorithm 2's
 // unspecified w0^(0) initialization privacy-preserving.
 func LocalInit(u UserData, cfg Config) (mat.Vector, float64) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	lt := u.NumLabeled()
 	var pos, neg bool
 	for _, y := range u.Y {
@@ -58,27 +59,13 @@ func LocalInit(u UserData, cfg Config) (mat.Vector, float64) {
 
 // FederatedInit aggregates device contributions into the starting w0: the
 // label-weighted average of the labeled users' local hyperplanes, or the
-// plain average of the variance axes when no user has labels.
+// plain average of the variance axes when no user has labels. It is the
+// one-partition case of the sharded plane's init fold, so a single
+// coordinator and a one-shard plane start from the same bits.
 func FederatedInit(ws []mat.Vector, weights []float64) mat.Vector {
 	if len(ws) == 0 {
 		return nil
 	}
-	dim := len(ws[0])
-	sum := mat.NewVector(dim)
-	var total float64
-	for i, w := range ws {
-		if weights[i] > 0 {
-			sum.AddScaled(weights[i], w)
-			total += weights[i]
-		}
-	}
-	if total > 0 {
-		sum.Scale(1 / total)
-		return sum
-	}
-	for _, w := range ws {
-		sum.Add(w)
-	}
-	sum.Scale(1 / float64(len(ws)))
-	return sum
+	p := shard.NewInitPartial(ws, weights, len(ws[0]))
+	return shard.FoldInit([]shard.InitPartial{p}, len(ws))
 }

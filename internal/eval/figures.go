@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -27,8 +28,9 @@ type CohortOptions struct {
 	Trials int
 	// Seed makes the whole figure reproducible.
 	Seed int64
-	// Lambda, Cl, Cu parameterize PLOS (defaults 100 / 1 / 0.2; the paper
-	// selects them by cross-validation — see CrossValidateLambda).
+	// Lambda, Cl, Cu parameterize PLOS (zero takes core.Config's defaults,
+	// 100 / 1 / 0.2; the paper selects them by cross-validation — see
+	// CrossValidateLambda).
 	Lambda, Cl, Cu float64
 	// Workers bounds the goroutine fan-out — both across a figure's trials
 	// and inside each trial's solvers: 0 means runtime.GOMAXPROCS(0), 1 is
@@ -45,15 +47,6 @@ type CohortOptions struct {
 func (o CohortOptions) withDefaults() CohortOptions {
 	if o.Trials <= 0 {
 		o.Trials = 3
-	}
-	if o.Lambda <= 0 {
-		o.Lambda = 100
-	}
-	if o.Cl <= 0 {
-		o.Cl = 1
-	}
-	if o.Cu == 0 {
-		o.Cu = 0.2
 	}
 	return o
 }
@@ -747,110 +740,83 @@ type simWall struct {
 	device, server time.Duration
 }
 
-// distributedSim is the shared simulation loop: returns the parallel wall
-// components and the mean per-device compute time (at server speed).
+// distributedSim trains distributed PLOS in-process from the federated
+// init — the shared CCCP driver around one sequential admm.Run per round —
+// and times every device solve. It returns the parallel wall components
+// (per ADMM round the slowest device; server time is the admm.Run wall
+// time minus the summed device time) and the mean per-device compute time,
+// all at server speed.
 func distributedSim(users []core.UserData, cfg core.Config, dcfg core.DistConfig) (simWall, time.Duration, error) {
+	cfg = cfg.WithDefaults()
+	dcfg = dcfg.WithDefaults()
 	tCount := len(users)
 	workers := make([]*core.Worker, tCount)
+	ws := make([]mat.Vector, tCount)
+	weights := make([]float64, tCount)
 	for t, u := range users {
 		wk, err := core.NewWorker(u, tCount, cfg)
 		if err != nil {
 			return simWall{}, 0, err
 		}
 		workers[t] = wk
-	}
-	dim := users[0].X.Cols
-	ws := make([]mat.Vector, tCount)
-	weights := make([]float64, tCount)
-	for t, u := range users {
 		ws[t], weights[t] = core.LocalInit(u, cfg)
 	}
 	w0 := core.FederatedInit(ws, weights)
 
-	if dcfg.Rho <= 0 {
-		dcfg.Rho = 1
-	}
-	if dcfg.EpsAbs <= 0 {
-		dcfg.EpsAbs = 1e-3
-	}
-	if dcfg.MaxADMMIter <= 0 {
-		dcfg.MaxADMMIter = 150
-	}
-	cccpTol := cfg.CCCPTol
-	if cccpTol <= 0 {
-		cccpTol = 1e-3
-	}
-	maxCCCP := cfg.MaxCCCPIter
-	if maxCCCP <= 0 {
-		maxCCCP = 20
-	}
-	lambda := cfg.Lambda
-	if lambda <= 0 {
-		lambda = 100
-	}
-
-	var deviceTime, serverTime time.Duration
+	var wall simWall
 	perDevice := make([]time.Duration, tCount)
-	prevL := math.Inf(1)
-	for round := 0; round < maxCCCP; round++ {
-		for _, wk := range workers {
-			wk.RefreshSigns(w0)
+	vs := make([]mat.Vector, tCount)
+	xis := make([]float64, tCount)
+	var roundMax, solveSum time.Duration
+	// Workers 1 makes admm.Run call update for t = 0..T-1 in order, so
+	// t == 0 opens a new ADMM round.
+	update := func(t int, z, u mat.Vector) (mat.Vector, error) {
+		if t == 0 {
+			wall.device += roundMax
+			roundMax = 0
 		}
-		cons, err := admm.NewConsensus(dim, tCount, dcfg.Rho, admm.SquaredNormZ)
+		start := time.Now()
+		w, v, xi, err := workers[t].Solve(z, u, dcfg.Rho)
+		d := time.Since(start)
 		if err != nil {
-			return simWall{}, 0, err
+			return nil, err
 		}
-		cons.Z = w0.Clone()
-		var lastVs []mat.Vector
-		var lastXis []float64
-		for iter := 0; iter < dcfg.MaxADMMIter; iter++ {
-			xs := make([]mat.Vector, tCount)
-			vs := make([]mat.Vector, tCount)
-			xis := make([]float64, tCount)
-			var roundMax time.Duration
-			for t, wk := range workers {
-				start := time.Now()
-				w, v, xi, err := wk.Solve(cons.Z, cons.U[t], dcfg.Rho)
-				if err != nil {
-					return simWall{}, 0, err
-				}
-				d := time.Since(start)
-				perDevice[t] += d
-				if d > roundMax {
-					roundMax = d
-				}
-				xs[t] = mat.SubVec(w, v)
-				vs[t], xis[t] = v, xi
-			}
-			deviceTime += roundMax
-			start := time.Now()
-			res, err := cons.Step(xs)
-			if err != nil {
-				return simWall{}, 0, err
-			}
-			serverTime += time.Since(start)
-			lastVs, lastXis = vs, xis
-			if res.Converged(tCount, dcfg.EpsAbs) {
-				break
-			}
+		perDevice[t] += d
+		solveSum += d
+		roundMax = max(roundMax, d)
+		vs[t], xis[t] = v, xi
+		return mat.SubVec(w, v), nil
+	}
+	var info core.TrainInfo
+	err := core.RunCCCP(cfg, "distributed-sim", tCount, nil, nil, &info, func(int) (float64, int, error) {
+		flips := 0
+		for _, wk := range workers {
+			flips += wk.RefreshSigns(w0)
+		}
+		roundMax, solveSum = 0, 0
+		start := time.Now()
+		cons, _, err := admm.Run(w0, tCount, update, admm.SquaredNormZ, admm.Options{
+			Rho: dcfg.Rho, EpsAbs: dcfg.EpsAbs, MaxIter: dcfg.MaxADMMIter, Workers: 1})
+		wall.device += roundMax
+		wall.server += time.Since(start) - solveSum
+		if err != nil && !errors.Is(err, admm.ErrMaxIterations) {
+			return 0, flips, err
 		}
 		w0 = cons.Z
 		obj := w0.SquaredNorm()
 		for t := range workers {
-			if lastVs != nil {
-				obj += lambda/float64(tCount)*lastVs[t].SquaredNorm() + lastXis[t]
-			}
+			obj += cfg.Lambda/float64(tCount)*vs[t].SquaredNorm() + xis[t]
 		}
-		if math.Abs(prevL-obj) <= cccpTol*(1+math.Abs(prevL)) {
-			break
-		}
-		prevL = obj
+		return obj, flips, nil
+	})
+	if err != nil {
+		return simWall{}, 0, err
 	}
 	var total time.Duration
 	for _, d := range perDevice {
 		total += d
 	}
-	return simWall{device: deviceTime, server: serverTime}, total / time.Duration(tCount), nil
+	return wall, total / time.Duration(tCount), nil
 }
 
 // EnergyComparison quantifies the paper's §V energy claim: per-user energy

@@ -210,7 +210,7 @@ func newState(users []core.UserData, cfg core.Config, k kernel.Kernel) (*state, 
 	if err != nil {
 		return nil, fmt.Errorf("kplos: %w", err)
 	}
-	cfg = fillDefaults(cfg)
+	cfg = cfg.WithDefaults()
 	st := &state{
 		users:   users,
 		cfg:     cfg,
@@ -243,36 +243,6 @@ func newState(users []core.UserData, cfg core.Config, k kernel.Kernel) (*state, 
 	}
 	st.initMargins()
 	return st, nil
-}
-
-func fillDefaults(c core.Config) core.Config {
-	if c.Lambda <= 0 {
-		c.Lambda = 100
-	}
-	if c.Cl <= 0 {
-		c.Cl = 1
-	}
-	if c.Cu < 0 {
-		c.Cu = 0
-	} else if c.Cu == 0 {
-		c.Cu = 0.2
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 1e-3
-	}
-	if c.CCCPTol <= 0 {
-		c.CCCPTol = 1e-3
-	}
-	if c.MaxCCCPIter <= 0 {
-		c.MaxCCCPIter = 20
-	}
-	if c.MaxCutIter <= 0 {
-		c.MaxCutIter = 60
-	}
-	if c.QPMaxIter <= 0 {
-		c.QPMaxIter = 5000
-	}
-	return c
 }
 
 // initMargins seeds the CCCP sign freeze with the kernel nearest-centroid

@@ -111,7 +111,7 @@ func (st *serverState) asyncSweepLaunch(round int, roundW0 mat.Vector, fold *adm
 	}
 }
 
-// asyncCCCPRound is the asynchronous replacement for cccpRound: one outer
+// asyncCCCPRound is the asynchronous replacement for round: one outer
 // CCCP round driven by per-arrival staleness-weighted folds instead of
 // lockstep ADMM iterations. It returns the Eq. (23) objective computed
 // from every live device's last reported (v_t, ξ_t), like the synchronous
@@ -202,7 +202,7 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 		if r.err != nil {
 			st.noteConnFailure(r.user, r.conn, r.err)
 			if !cfg.FT.Resume {
-				if err := st.drop(r.user, 0, nil, r.err); err != nil {
+				if err := st.drop(r.user, r.err); err != nil {
 					return 0, err
 				}
 				fold.Drop(r.user)
@@ -284,7 +284,7 @@ func (st *serverState) asyncCCCPRound(round int, info *core.TrainInfo) (float64,
 		if cause == nil {
 			cause = fmt.Errorf("no asynchronous update within %d rounds (stale budget exhausted)", cfg.FT.MaxStale)
 		}
-		if err := st.drop(t, 0, nil, cause); err != nil {
+		if err := st.drop(t, cause); err != nil {
 			return 0, err
 		}
 		fold.Drop(t)

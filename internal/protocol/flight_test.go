@@ -1,9 +1,12 @@
 package protocol
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
+	"plos/internal/core"
 	"plos/internal/obs"
 	"plos/internal/transport"
 )
@@ -172,5 +175,116 @@ func TestFlightQuorumRecord(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"rec":"quorum","active":3,"need":4`) {
 		t.Errorf("no quorum record in flight stream:\n%s", buf.String())
+	}
+}
+
+// TestTrainerRunRecordStreams pins the shared CCCP driver's record stream
+// for every trainer that runs it: one run-start naming the trainer and the
+// population, one cccp-iteration per round whose objectives are
+// TrainInfo.ObjectiveHistory bit for bit, and a run-end that matches
+// TrainInfo. Wire trainers report -1 sign flips; in-process ones count them.
+func TestTrainerRunRecordStreams(t *testing.T) {
+	users, _ := makeUsers(35, 4)
+	base := sweepConfig()
+	base.Core.MaxCCCPIter = 3
+	cases := []struct {
+		trainer string
+		wire    bool
+		run     func(c core.Config) (core.TrainInfo, error)
+	}{
+		{"centralized", false, func(c core.Config) (core.TrainInfo, error) {
+			_, info, err := core.TrainCentralized(users, c)
+			return info, err
+		}},
+		{"distributed", false, func(c core.Config) (core.TrainInfo, error) {
+			_, info, err := core.TrainDistributed(users, c, base.Dist)
+			return info, err
+		}},
+		{"async", false, func(c core.Config) (core.TrainInfo, error) {
+			_, info, err := core.TrainAsync(users, c, core.AsyncConfig{})
+			return info, err
+		}},
+		{"server", true, func(c core.Config) (core.TrainInfo, error) {
+			cfg := base
+			cfg.Core = c
+			res, err, _, _ := runPipesFT(t, users, cfg, nil, nil)
+			if err != nil {
+				return core.TrainInfo{}, err
+			}
+			return res.Info, nil
+		}},
+		{"agg", true, func(c core.Config) (core.TrainInfo, error) {
+			out := runSharded(t, users, [][]int{{0, 1}, {2, 3}},
+				AggConfig{Core: c, Dist: base.Dist}, nil, nil, nil)
+			if out.aggErr != nil {
+				return core.TrainInfo{}, out.aggErr
+			}
+			return out.agg.Info, nil
+		}},
+	}
+	type rec struct {
+		Rec       string  `json:"rec"`
+		Trainer   string  `json:"trainer"`
+		Users     int     `json:"users"`
+		Round     int     `json:"round"`
+		Objective float64 `json:"objective"`
+		SignFlips int     `json:"sign_flips"`
+		Converged bool    `json:"converged"`
+		Rounds    int     `json:"rounds"`
+	}
+	for _, tc := range cases {
+		t.Run(tc.trainer, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			var buf strings.Builder
+			reg.SetFlightRecorder(obs.NewFlightRecorder(&buf, 0))
+			c := base.Core
+			c.Obs = reg
+			info, err := tc.run(c)
+			if err != nil {
+				t.Fatalf("train: %v", err)
+			}
+			var starts, ends, iters []rec
+			for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+				var r rec
+				if err := json.Unmarshal([]byte(line), &r); err != nil {
+					t.Fatalf("record %q: %v", line, err)
+				}
+				switch r.Rec {
+				case "run-start":
+					starts = append(starts, r)
+				case "cccp-iteration":
+					if len(ends) > 0 {
+						t.Errorf("cccp-iteration after run-end: %s", line)
+					}
+					iters = append(iters, r)
+				case "run-end":
+					ends = append(ends, r)
+				}
+			}
+			if len(starts) != 1 || starts[0].Trainer != tc.trainer || starts[0].Users != len(users) {
+				t.Fatalf("run-start records = %+v, want one for %s with %d users", starts, tc.trainer, len(users))
+			}
+			if len(iters) != len(info.ObjectiveHistory) || len(iters) != info.CCCPIterations {
+				t.Fatalf("%d cccp-iteration records, history %d, CCCPIterations %d",
+					len(iters), len(info.ObjectiveHistory), info.CCCPIterations)
+			}
+			for k, r := range iters {
+				if r.Round != k || math.Float64bits(r.Objective) != math.Float64bits(info.ObjectiveHistory[k]) {
+					t.Errorf("cccp-iteration %d = round %d objective %v, want round %d objective %v",
+						k, r.Round, r.Objective, k, info.ObjectiveHistory[k])
+				}
+				if tc.wire != (r.SignFlips == -1) || r.SignFlips < -1 {
+					t.Errorf("cccp-iteration %d sign_flips = %d (wire trainer: %v)", k, r.SignFlips, tc.wire)
+				}
+			}
+			if len(ends) != 1 {
+				t.Fatalf("%d run-end records, want 1", len(ends))
+			}
+			if e := ends[0]; e.Converged != info.CCCPConverged || e.Rounds != info.CCCPIterations ||
+				math.Float64bits(e.Objective) != math.Float64bits(info.Objective) {
+				t.Errorf("run-end %+v does not match TrainInfo (converged %v, rounds %d, objective %v)",
+					e, info.CCCPConverged, info.CCCPIterations, info.Objective)
+			}
+		})
 	}
 }

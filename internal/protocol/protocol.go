@@ -25,9 +25,9 @@
 //     whose connection died can redial, echo the token, and be re-attached
 //     to its slot mid-training (RunClientLoop drives the device side).
 //   - Permanent drop: a device out of stale budget (or, without resume, any
-//     device whose connection fails) is removed from the consensus
-//     (admm.Consensus.DropWorker) and training continues while the active
-//     count stays at or above both MinActive and ceil(Quorum·T).
+//     device whose connection fails) is removed from the consensus and
+//     training continues while the active count stays at or above both
+//     MinActive and ceil(Quorum·T).
 package protocol
 
 import (
@@ -40,7 +40,6 @@ import (
 	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
-	"plos/internal/optimize"
 	"plos/internal/rng"
 	"plos/internal/shard"
 	"plos/internal/transport"
@@ -118,15 +117,15 @@ type ServerConfig struct {
 	// in, update out — is identical), but plos.Join(WithAsync()) asserts
 	// the confirmation. Incompatible with ReduceGroups.
 	Async bool
-	// ReduceGroups, when non-nil, partitions the user slots into ordered
-	// groups and switches every cross-user floating-point reduction
-	// (federated init, consensus sum, primal residual, objective) to the
-	// grouped shape of internal/shard: per-group partials in slot order,
-	// folded in group order. A single coordinator with ReduceGroups set to
-	// a sharded deployment's partition reproduces that sharded run bit for
-	// bit — the reference side of the bit-identity contract in
-	// docs/SHARDING.md. Groups must cover every slot exactly once. Nil
-	// (the default) keeps the historical sequential reductions.
+	// ReduceGroups partitions the user slots into ordered groups. Every
+	// cross-user floating-point reduction (federated init, consensus sum,
+	// primal residual, objective) runs in the grouped shape of
+	// internal/shard: per-group partials in slot order, folded in group
+	// order. A single coordinator with ReduceGroups set to a sharded
+	// deployment's partition reproduces that sharded run bit for bit — the
+	// reference side of the bit-identity contract in docs/SHARDING.md.
+	// Groups must cover every slot exactly once. Nil (the default) is one
+	// group holding every slot.
 	ReduceGroups [][]int
 }
 
@@ -167,19 +166,10 @@ func coreConfig(w *transport.WireConfig) core.Config {
 	}
 }
 
-// defaultedServerConfig fills zero fields. Exposed logic kept in one place
-// so RunServer and tests agree.
+// withDefaults fills zero fields; the training defaults come from core.
 func (c ServerConfig) withDefaults() ServerConfig {
-	c.Core = fillCoreDefaults(c.Core)
-	if c.Dist.Rho <= 0 {
-		c.Dist.Rho = 1
-	}
-	if c.Dist.EpsAbs <= 0 {
-		c.Dist.EpsAbs = 1e-3
-	}
-	if c.Dist.MaxADMMIter <= 0 {
-		c.Dist.MaxADMMIter = 150
-	}
+	c.Core = c.Core.WithDefaults()
+	c.Dist = c.Dist.WithDefaults()
 	if c.MinActive <= 0 {
 		c.MinActive = 1
 	}
@@ -196,38 +186,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.FT.SessionSeed == 0 {
 		c.FT.SessionSeed = c.Core.Seed
-	}
-	return c
-}
-
-// fillCoreDefaults mirrors core's private defaulting for the fields the
-// protocol needs on the wire.
-func fillCoreDefaults(c core.Config) core.Config {
-	if c.Lambda <= 0 {
-		c.Lambda = 100
-	}
-	if c.Cl <= 0 {
-		c.Cl = 1
-	}
-	if c.Cu < 0 {
-		c.Cu = 0
-	} else if c.Cu == 0 {
-		c.Cu = 0.2
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 1e-3
-	}
-	if c.CCCPTol <= 0 {
-		c.CCCPTol = 1e-3
-	}
-	if c.MaxCCCPIter <= 0 {
-		c.MaxCCCPIter = 20
-	}
-	if c.MaxCutIter <= 0 {
-		c.MaxCutIter = 60
-	}
-	if c.QPMaxIter <= 0 {
-		c.QPMaxIter = 5000
 	}
 	return c
 }
@@ -311,61 +269,33 @@ func RunServer(conns []transport.Conn, cfg ServerConfig) (*ServerResult, error) 
 			return nil, err
 		}
 	}
-	tCount := len(st.users)
-
-	cfg.Core.Obs.Counter(obs.MetricTrainRuns, "").Inc()
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "server", Users: tCount})
-	}
+	red := &localReducer{rho: cfg.Dist.Rho, epsAbs: cfg.Dist.EpsAbs,
+		maxIter: cfg.Dist.MaxADMMIter, obs: cfg.Core.Obs}
 	info := core.TrainInfo{}
-	cccpInfo, err := optimize.CCCPResume(func(round int) (float64, error) {
-		var start time.Time
-		if cfg.Core.Obs != nil {
-			start = time.Now()
-		}
+	err := core.RunCCCP(cfg.Core, "server", len(st.users), prior, nil, &info, func(round int) (float64, int, error) {
 		var obj float64
 		var err error
 		if cfg.Async {
 			obj, err = st.asyncCCCPRound(round, &info)
-		} else {
-			obj, err = st.cccpRound(round, &info)
+		} else if err = st.round(round, red, &info); err == nil {
+			obj = red.obj
+			info.ADMMPrimal, info.ADMMDual = red.res.Primal, red.res.Dual
 		}
 		if err != nil {
-			return obj, err
-		}
-		if r := cfg.Core.Obs; r != nil {
-			r.Counter(obs.MetricCCCPIterations, "").Inc()
-			r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-			r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start,
-				Dur: time.Since(start), Round: round, User: -1, Value: obj})
-			if r.FlightEnabled() {
-				// Server-global sign flips are unknown (each device freezes
-				// its own signs locally); per-device flips arrive in the
-				// device-round records instead.
-				r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-					Objective: obj, SignFlips: -1, Dur: time.Since(start)})
-			}
+			return obj, -1, err
 		}
 		st.objHistory = append(st.objHistory, obj)
 		if cfg.FT.CheckpointPath != "" && (round+1)%cfg.FT.CheckpointEvery == 0 {
 			if err := SaveCheckpoint(cfg.FT.CheckpointPath, st.checkpoint(round+1)); err != nil {
-				return obj, fmt.Errorf("protocol: checkpoint after round %d: %w", round, err)
+				return obj, -1, fmt.Errorf("protocol: checkpoint after round %d: %w", round, err)
 			}
 			st.mCheckpoints.Inc()
 		}
-		return obj, nil
-	}, cfg.Core.CCCPTol, cfg.Core.MaxCCCPIter, prior)
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+		return obj, -1, nil
+	})
+	if err != nil {
 		st.abort(err.Error())
 		return nil, fmt.Errorf("protocol: RunServer: %w", err)
-	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: cccpInfo.Converged,
-			Objective: cccpInfo.Objective, Round: cccpInfo.Iterations})
 	}
 
 	// Finish: broadcast the final w0. In asynchronous mode the exchanges
@@ -374,9 +304,13 @@ func RunServer(conns []transport.Conn, cfg ServerConfig) (*ServerResult, error) 
 	if cfg.Async {
 		st.asyncDrain()
 	}
-	done := transport.Message{Type: transport.MsgDone, W0: st.w0}
-	st.broadcast(done)
+	st.broadcast(transport.Message{Type: transport.MsgDone, W0: st.w0})
+	return st.result(info), nil
+}
 
+// result assembles the finished run's ServerResult from the per-user state.
+func (st *serverState) result(info core.TrainInfo) *ServerResult {
+	tCount := len(st.users)
 	res := &ServerResult{
 		Model:     &core.Model{W0: st.w0, W: make([]mat.Vector, tCount)},
 		Info:      info,
@@ -393,7 +327,7 @@ func RunServer(conns []transport.Conn, cfg ServerConfig) (*ServerResult, error) 
 		res.PerUser[t] = u.stats()
 		res.Total = res.Total.Add(res.PerUser[t])
 	}
-	return res, nil
+	return res
 }
 
 // collectHellos reads one hello per user and validates the shared feature
@@ -464,20 +398,17 @@ func freshHandshake(conns []transport.Conn, cfg ServerConfig) (*serverState, err
 		needSessions, cfg.FT.SessionSeed, cfg.Async); err != nil {
 		return nil, err
 	}
-	w0 := federatedInit(cfg.ReduceGroups, initWs, initWeights, dim)
+	w0 := federatedInit(reduceGroups(cfg.ReduceGroups, tCount), initWs, initWeights, dim)
 	if w0 == nil || len(w0) != dim {
 		w0 = mat.NewVector(dim)
 	}
 	return newServerState(cfg, users, dim, w0), nil
 }
 
-// federatedInit aggregates the device init contributions: sequentially
-// (core.FederatedInit) without groups, or with the grouped fold shape of
-// the sharded plane when groups are set.
+// federatedInit aggregates the device init contributions in the grouped
+// fold shape of internal/shard: one partial per reduce group, folded in
+// group order.
 func federatedInit(groups [][]int, initWs []mat.Vector, initWeights []float64, dim int) mat.Vector {
-	if groups == nil {
-		return core.FederatedInit(initWs, initWeights)
-	}
 	partials := make([]shard.InitPartial, len(groups))
 	for g, slots := range groups {
 		ws := make([]mat.Vector, 0, len(slots))
@@ -621,8 +552,12 @@ type serverState struct {
 	// replies receives exchange outcomes; buffered to len(users) so a late
 	// goroutine never blocks (at most one exchange is in flight per user).
 	replies chan exchangeReply
-	// groupOf maps a user slot to its ReduceGroups index; nil without groups.
-	groupOf []int
+	// groups is the reduce partition every cross-user sum runs over:
+	// ReduceGroups, or one group holding every slot.
+	groups [][]int
+	// lambdaOverT weighs the Eq. (23) objective partials: λ/T with the
+	// population T (the global one on a shard).
+	lambdaOverT float64
 	// asyncEpoch[t] is the fold epoch at user t's last snapshot launch —
 	// the baseline for measuring an asynchronous arrival's staleness.
 	asyncEpoch []int
@@ -643,17 +578,22 @@ func newServerState(cfg ServerConfig, users []*serverUser, dim int, w0 mat.Vecto
 		mCheckpoints: r.Counter(obs.MetricCheckpointsWritten, ""),
 		mDropCause:   r.Counter(obs.MetricProtocolDeviceDrops, ""),
 	}
-	if cfg.ReduceGroups != nil { // pre-validated by validateGroups
-		st.groupOf = make([]int, len(users))
-		for g, slots := range cfg.ReduceGroups {
-			for _, t := range slots {
-				if t >= 0 && t < len(users) {
-					st.groupOf[t] = g
-				}
-			}
-		}
-	}
+	st.lambdaOverT = cfg.Core.Lambda / float64(len(users))
+	st.groups = reduceGroups(cfg.ReduceGroups, len(users)) // pre-validated by validateGroups
 	return st
+}
+
+// reduceGroups returns the reduce partition of n slots: groups itself, or
+// one group holding every slot in order when groups is nil.
+func reduceGroups(groups [][]int, n int) [][]int {
+	if groups != nil {
+		return groups
+	}
+	all := make([]int, n)
+	for t := range all {
+		all[t] = t
+	}
+	return [][]int{all}
 }
 
 // validateGroups checks that groups (when set) cover every one of total user
@@ -694,14 +634,18 @@ func (st *serverState) flight() *obs.Registry {
 	return nil
 }
 
+// active returns the live slots in reduction order: group by group, each
+// group in its listed slot order.
 func (st *serverState) active() []int {
-	var idx []int
-	for t, u := range st.users {
-		if !u.dropped {
-			idx = append(idx, t)
+	var parts []int
+	for _, slots := range st.groups {
+		for _, t := range slots {
+			if !st.users[t].dropped {
+				parts = append(parts, t)
+			}
 		}
 	}
-	return idx
+	return parts
 }
 
 // minActive is the permanent-drop abort threshold: the configured MinActive
@@ -780,11 +724,9 @@ func (st *serverState) noteConnFailure(t int, conn transport.Conn, err error) {
 	}
 }
 
-// drop permanently removes user t from the run. pos is the user's position
-// in the current consensus; cons may be nil when no consensus is live (the
-// caller then owns the index bookkeeping). Returns ErrTooFewActive when the
-// survivors fall below the quorum threshold.
-func (st *serverState) drop(t, pos int, cons *admm.Consensus, cause error) error {
+// drop permanently removes user t from the run. Returns ErrTooFewActive
+// when the survivors fall below the quorum threshold.
+func (st *serverState) drop(t int, cause error) error {
 	u := st.users[t]
 	if u.dropped {
 		return nil
@@ -809,11 +751,6 @@ func (st *serverState) drop(t, pos int, cons *admm.Consensus, cause error) error
 		}
 		fr.FlightRecord(obs.Record{Kind: obs.RecordDeviceDrop, User: t,
 			Cause: causeStr, Permanent: true})
-	}
-	if cons != nil {
-		if err := cons.DropWorker(pos); err != nil {
-			return err
-		}
 	}
 	if n := len(st.active()); n < st.minActive() {
 		if fr := st.flight(); fr != nil {
@@ -943,10 +880,9 @@ func (st *serverState) exchange(t, iter int, conn transport.Conn, start *transpo
 	st.replies <- exchangeReply{user: t, iter: iter, conn: conn, msg: rep, err: err}
 }
 
-// gatherEnv parameterizes one ADMM iteration's device exchange so the same
-// launch/collect/straggler machinery serves both round drivers (the
-// coordinator's cccpRound and a shard's shardRound): where the z and
-// per-participant dual vectors come from, and how a failed user is dropped.
+// gatherEnv parameterizes one ADMM iteration's device exchange: the
+// consensus and per-participant dual vectors to send, and how a failed
+// user is dropped.
 type gatherEnv struct {
 	round      int
 	iter       int
@@ -1081,60 +1017,6 @@ func (st *serverState) gather(parts []int, env gatherEnv) (xs []mat.Vector, keep
 	return xs, keep, nil
 }
 
-// groupPositions buckets the surviving consensus positions by ReduceGroups
-// group, in slot order (parts is ascending, so appending preserves it).
-func (st *serverState) groupPositions(parts []int) [][]int {
-	gpos := make([][]int, len(st.cfg.ReduceGroups))
-	for i, t := range parts {
-		g := st.groupOf[t]
-		gpos[g] = append(gpos[g], i)
-	}
-	return gpos
-}
-
-// stepGrouped advances the consensus with the same semantics as
-// admm.Consensus.Step but with every cross-user floating-point reduction in
-// the grouped shape of internal/shard: per-group partials in slot order,
-// folded in group order. Groups whose members all dropped contribute no
-// partial (a sharded deployment aborts before a shard reaches zero live
-// users, so the reference stays aligned with what shards actually send).
-func (st *serverState) stepGrouped(cons *admm.Consensus, xs []mat.Vector, parts []int) admm.Residuals {
-	rho := st.cfg.Dist.Rho
-	gpos := st.groupPositions(parts)
-
-	sums := make([]mat.Vector, 0, len(gpos))
-	for _, pos := range gpos {
-		if len(pos) == 0 {
-			continue
-		}
-		gxs := make([]mat.Vector, len(pos))
-		gus := make([]mat.Vector, len(pos))
-		for k, i := range pos {
-			gxs[k], gus[k] = xs[i], cons.U[i]
-		}
-		sums = append(sums, shard.SumXU(gxs, gus, st.dim))
-	}
-	zNew := admm.SquaredNormZ(shard.Fold(sums), len(xs), rho)
-
-	var res admm.Residuals
-	res.Dual = rho * math.Sqrt(2*float64(len(xs))) * mat.Dist2(zNew, cons.Z)
-	primals := make([]float64, 0, len(gpos))
-	for _, pos := range gpos {
-		if len(pos) == 0 {
-			continue
-		}
-		gxs := make([]mat.Vector, len(pos))
-		gus := make([]mat.Vector, len(pos))
-		for k, i := range pos {
-			gxs[k], gus[k] = xs[i], cons.U[i] // ApplyZ updates cons.U in place
-		}
-		primals = append(primals, shard.ApplyZ(gxs, gus, zNew))
-	}
-	res.Primal = math.Sqrt(shard.FoldScalars(primals))
-	cons.Z = zNew
-	return res
-}
-
 // objectivePartial is one partition's Eq. (23) objective contribution from
 // the last reported (v_t, ξ_t) of its live users, in slot order.
 func objectivePartial(users []*serverUser, slots []int, lambdaOverT float64) float64 {
@@ -1148,11 +1030,85 @@ func objectivePartial(users []*serverUser, slots []int, lambdaOverT float64) flo
 	return p
 }
 
-// cccpRound runs one CCCP round: announce the linearization point, then
-// iterate ADMM until the residual rule fires. Returns the objective L of
-// Eq. (23).
-func (st *serverState) cccpRound(round int, info *core.TrainInfo) (float64, error) {
-	cfg := st.cfg
+// reducer is the cross-partition half of one synchronous ADMM iteration. A
+// coordinator folds all of its reduce groups in process (localReducer); a
+// shard's single group crosses the aggregator link (shardRun).
+type reducer interface {
+	// reduceZ folds the per-group consensus sums Σ(x_t+u_t) over n live
+	// devices into the next consensus; z is the current one.
+	reduceZ(iter int, z mat.Vector, sums []mat.Vector, n int) (mat.Vector, error)
+	// decide folds the per-group primal-residual and objective partials
+	// and reports whether the CCCP round's ADMM loop is over.
+	decide(iter int, start time.Time, primals, objs []float64, n int) (bool, error)
+}
+
+// foldZ is leg 1 of the consensus reduce, shared by the in-process reducer
+// and the aggregator: the partition sums folded in partition order, the
+// z-prox of Eq. (23), and the dual residual against the current z.
+func foldZ(sums []mat.Vector, n int, rho float64, z mat.Vector) (mat.Vector, float64) {
+	zNew := admm.SquaredNormZ(shard.Fold(sums), n, rho)
+	return zNew, rho * math.Sqrt(2*float64(n)) * mat.Dist2(zNew, z)
+}
+
+// foldResid is leg 2: the primal residual and the Eq. (23) objective at
+// the new consensus z, from the partitions' partials in partition order.
+func foldResid(primals, objs []float64, z mat.Vector) (primal, obj float64) {
+	return math.Sqrt(shard.FoldScalars(primals)), shard.FoldObjective(z.SquaredNorm(), objs)
+}
+
+// localReducer folds a coordinator's reduce groups in process and applies
+// the residual stopping rule of Eq. (24), capped at maxIter iterations.
+type localReducer struct {
+	rho, epsAbs float64
+	maxIter     int
+	obs         *obs.Registry
+	// res and obj describe the last completed iteration.
+	z   mat.Vector
+	res admm.Residuals
+	obj float64
+}
+
+func (l *localReducer) reduceZ(_ int, z mat.Vector, sums []mat.Vector, n int) (mat.Vector, error) {
+	l.z, l.res.Dual = foldZ(sums, n, l.rho, z)
+	return l.z, nil
+}
+
+func (l *localReducer) decide(iter int, start time.Time, primals, objs []float64, n int) (bool, error) {
+	l.res.Primal, l.obj = foldResid(primals, objs, l.z)
+	admm.ObserveRound(l.obs, iter, start, l.res)
+	return l.res.Converged(n, l.epsAbs) || iter+1 >= l.maxIter, nil
+}
+
+// spans splits the active slots (in reduction order) into one [lo, hi)
+// range per reduce group that still has live members, reusing buf.
+// gather drops every participant it does not keep, so after a gather the
+// live slots are exactly the kept participants.
+func (st *serverState) spans(buf [][2]int) [][2]int {
+	buf = buf[:0]
+	lo := 0
+	for _, slots := range st.groups {
+		n := 0
+		for _, t := range slots {
+			if !st.users[t].dropped {
+				n++
+			}
+		}
+		if n > 0 {
+			buf = append(buf, [2]int{lo, lo + n})
+			lo += n
+		}
+	}
+	return buf
+}
+
+// round runs one synchronous CCCP round over this process's devices:
+// announce the linearization point, then iterate consensus ADMM — gather
+// the device updates, reduce the group partials through red — until red
+// ends the round. Every cross-user sum runs per reduce group in slot order
+// (shard.SumXU, shard.ApplyZ, objectivePartial), so a coordinator folding
+// its groups in process and a sharded plane folding one group per shard
+// at the aggregator add the same numbers in the same order.
+func (st *serverState) round(round int, red reducer, info *core.TrainInfo) error {
 	st.epoch = round
 	if fr := st.flight(); fr != nil {
 		fr.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
@@ -1161,87 +1117,69 @@ func (st *serverState) cccpRound(round int, info *core.TrainInfo) (float64, erro
 
 	parts := st.active()
 	roundW0 := st.w0.Clone()
-	for _, t := range parts {
-		st.users[t].needSync = true
-	}
-
-	cons, err := admm.NewConsensus(st.dim, len(parts), cfg.Dist.Rho, admm.SquaredNormZ)
-	if err != nil {
-		return 0, err
-	}
-	cons.Z = st.w0.Clone()
+	// Scaled duals aligned with parts; first-time participants start at
+	// zero, exactly like admm.NewConsensus.
+	us := make([]mat.Vector, len(parts))
 	for i, t := range parts {
+		st.users[t].needSync = true
 		if u, ok := st.us[t]; ok {
-			cons.U[i] = u
+			us[i] = u
+		} else {
+			us[i] = mat.NewVector(st.dim)
 		}
 	}
+	z := st.w0.Clone()
+	// Per-group reduce buffers, reused across the round's iterations.
+	g := len(st.groups)
+	spans, sums := make([][2]int, 0, g), make([]mat.Vector, 0, g)
+	primals, objs := make([]float64, 0, g), make([]float64, 0, g)
 
-	for iter := 0; iter < cfg.Dist.MaxADMMIter; iter++ {
+	for iter := 0; ; iter++ {
 		var roundStart time.Time
-		if cfg.Core.Obs != nil {
+		if st.cfg.Core.Obs != nil {
 			roundStart = time.Now()
 		}
 		xs, keep, err := st.gather(parts, gatherEnv{
 			round: round, iter: iter, roundStart: roundStart, roundW0: roundW0,
-			z:    cons.Z,
-			dual: func(i, t int) mat.Vector { return cons.U[i] },
-			drop: func(t, pos int, cause error) error { return st.drop(t, pos, cons, cause) },
+			z:    z,
+			dual: func(i, t int) mat.Vector { return us[i] },
+			drop: func(t, pos int, cause error) error {
+				us = append(us[:pos], us[pos+1:]...)
+				return st.drop(t, cause)
+			},
 		})
 		if err != nil {
-			return 0, err
+			return err
 		}
 		parts = keep
 
-		var res admm.Residuals
-		if st.cfg.ReduceGroups != nil {
-			res = st.stepGrouped(cons, xs, parts)
-		} else {
-			if res, err = cons.Step(xs); err != nil {
-				return 0, err
-			}
+		spans = st.spans(spans)
+		sums, primals, objs = sums[:0], primals[:0], objs[:0]
+		for _, sp := range spans {
+			sums = append(sums, shard.SumXU(xs[sp[0]:sp[1]], us[sp[0]:sp[1]], st.dim))
 		}
-		info.ADMMIterations++
-		info.ADMMPrimal = res.Primal
-		info.ADMMDual = res.Dual
-		if r := cfg.Core.Obs; r != nil {
-			admm.ObserveRound(r, iter, roundStart, res)
+		if z, err = red.reduceZ(iter, z, sums, len(xs)); err != nil {
+			return err
+		}
+		for _, sp := range spans {
+			primals = append(primals, shard.ApplyZ(xs[sp[0]:sp[1]], us[sp[0]:sp[1]], z))
+			objs = append(objs, objectivePartial(st.users, parts[sp[0]:sp[1]], st.lambdaOverT))
 		}
 		// Persist duals by user id for the next CCCP round.
 		for i, t := range parts {
-			st.us[t] = cons.U[i]
+			st.us[t] = us[i]
 		}
-		if res.Converged(len(xs), cfg.Dist.EpsAbs) {
+		info.ADMMIterations++
+		done, err := red.decide(iter, roundStart, primals, objs, len(xs))
+		if err != nil {
+			return err
+		}
+		if done {
 			break
 		}
 	}
-	st.w0 = cons.Z
-
-	// Objective L of Eq. (23) from the last reported (v_t, ξ_t).
-	lambdaOverT := cfg.Core.Lambda / float64(len(st.users))
-	if groups := st.cfg.ReduceGroups; groups != nil {
-		partials := make([]float64, 0, len(groups))
-		for _, slots := range groups {
-			live := 0
-			for _, t := range slots {
-				if !st.users[t].dropped {
-					live++
-				}
-			}
-			if live == 0 {
-				continue // all-dropped group: a shard in its place would have aborted
-			}
-			partials = append(partials, objectivePartial(st.users, slots, lambdaOverT))
-		}
-		return shard.FoldObjective(st.w0.SquaredNorm(), partials), nil
-	}
-	obj := st.w0.SquaredNorm()
-	for _, t := range st.active() {
-		u := st.users[t]
-		if u.lastV != nil {
-			obj += lambdaOverT*u.lastV.SquaredNorm() + u.lastXi
-		}
-	}
-	return obj, nil
+	st.w0 = z
+	return nil
 }
 
 func cloneVec(v mat.Vector) mat.Vector {

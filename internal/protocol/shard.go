@@ -1,11 +1,12 @@
 // The sharded serving plane (docs/SHARDING.md): RunAggregator owns the
 // global consensus — it folds per-shard ADMM partials in shard order and
 // drives the CCCP convergence decisions — while RunShard serves a partition
-// of the devices with the same handshake, gather, fault-tolerance, and
-// checkpoint machinery as RunServer. Every cross-shard floating-point
-// reduction goes through internal/shard, the same helpers a single
-// coordinator uses when ServerConfig.ReduceGroups mirrors the shard
-// partition, so the two planes are bit-identical by construction.
+// of the devices with RunServer's handshake, fault-tolerance and checkpoint
+// machinery and its very synchronous round (serverState.round); only the
+// reducer differs, shipping the shard's one partial over the aggregator
+// link. The aggregator folds with the same function a single coordinator
+// applies to its ReduceGroups partials, so the two planes are
+// bit-identical because they run the same code.
 //
 // Shard↔aggregator message flow (one connection per shard, fields reused
 // from the device protocol — see the MsgShard* constants in transport):
@@ -48,7 +49,6 @@ import (
 	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/obs"
-	"plos/internal/optimize"
 	"plos/internal/rng"
 	"plos/internal/shard"
 	"plos/internal/transport"
@@ -292,31 +292,25 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 		st = newServerState(sCfg, users, dim, mat.NewVector(dim))
 	}
 
+	st.lambdaOverT = wire.Lambda / float64(rep.Users)
 	r := cfg.Core.Obs
-	r.Counter(obs.MetricTrainRuns, "").Inc()
+	core.ObserveRunStart(r, "shard", len(users))
 	r.Gauge(obs.MetricShardDevices, "").Set(float64(len(st.active())))
 	if migrated > 0 {
 		r.Counter(obs.MetricShardMigrations, "").Add(int64(migrated))
 	}
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "shard", Users: len(users)})
-	}
 
 	sh := &shardRun{
 		st: st, agg: agg, id: cfg.Shard,
-		lambdaOverT: wire.Lambda / float64(rep.Users),
-		mReduce:     r.Histogram(obs.MetricShardReduceSeconds, ""),
-		mBytes:      r.Counter(obs.MetricShardCrossBytesTotal, ""),
+		mReduce: r.Histogram(obs.MetricShardReduceSeconds, ""),
+		mBytes:  r.Counter(obs.MetricShardCrossBytesTotal, ""),
 	}
 	info := core.TrainInfo{}
 	done, err := sh.loop(&info)
-	if err != nil {
-		st.abort(err.Error())
-		sh.fatal(err)
-		return nil, err
+	if err == nil && len(done.W0) != st.dim {
+		err = fmt.Errorf("%w: final w0 has %d entries, dim %d", ErrDimMismatch, len(done.W0), st.dim)
 	}
-	if len(done.W0) != st.dim {
-		err := fmt.Errorf("%w: final w0 has %d entries, dim %d", ErrDimMismatch, len(done.W0), st.dim)
+	if err != nil {
 		st.abort(err.Error())
 		sh.fatal(err)
 		return nil, err
@@ -326,44 +320,29 @@ func RunShard(agg transport.Conn, conns []transport.Conn, cfg ShardConfig) (*Ser
 	info.CCCPConverged = done.Users == 1
 	info.Objective = done.Xi
 	info.ObjectiveHistory = append([]float64(nil), st.objHistory...)
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: info.CCCPConverged,
-			Objective: info.Objective, Round: info.CCCPIterations})
-	}
+	core.ObserveRunEnd(r, info)
 
 	st.broadcast(transport.Message{Type: transport.MsgDone, W0: st.w0})
-
-	tCount := len(st.users)
-	res := &ServerResult{
-		Model:     &core.Model{W0: st.w0, W: make([]mat.Vector, tCount)},
-		Info:      info,
-		Dropped:   make([]bool, tCount),
-		DropCause: make([]error, tCount),
-		PerUser:   make([]transport.Stats, tCount),
-	}
-	for t, u := range st.users {
-		res.Dropped[t] = u.dropped
-		res.DropCause[t] = u.cause
-		if !u.dropped {
-			res.Model.W[t] = u.lastW
-		}
-		res.PerUser[t] = u.stats()
-		res.Total = res.Total.Add(res.PerUser[t])
-	}
-	return res, nil
+	return st.result(info), nil
 }
 
-// shardRun is the per-run state of RunShard's control loop on top of the
-// shared serverState.
+// shardRun is RunShard's control loop on top of the shared serverState,
+// and the reducer its rounds fold through: each leg's single partial
+// crosses the aggregator link (shard-sum → shard-z, shard-resid →
+// decision), and the decision that ends a round is kept for the loop.
 type shardRun struct {
-	st  *serverState
-	agg transport.Conn
-	id  int
-	// lambdaOverT is λ/T with the *global* T — the objective-partial weight
-	// every shard and the reference coordinator must agree on.
-	lambdaOverT float64
-	mReduce     *obs.Histogram
-	mBytes      *obs.Counter
+	st      *serverState
+	agg     transport.Conn
+	id      int
+	mReduce *obs.Histogram
+	mBytes  *obs.Counter
+	// Per-iteration reduce accounting: link traffic before leg 1 and the
+	// time spent waiting on the aggregator so far.
+	pre  transport.Stats
+	wait time.Duration
+	// dec is the decision that ended the last round: the next
+	// shard-round, shard-done, or an aggregator MsgError.
+	dec transport.Message
 }
 
 // errAggLink marks failures of the aggregator link itself, as opposed to
@@ -400,9 +379,15 @@ func (sh *shardRun) loop(info *core.TrainInfo) (transport.Message, error) {
 			if err := sh.noteObjective(m.Round, m.Xi); err != nil {
 				return transport.Message{}, err
 			}
-			if m, err = sh.round(m.Round, mat.Vector(m.W0), info); err != nil {
+			if len(m.W0) != sh.st.dim {
+				return transport.Message{}, fmt.Errorf("protocol: shard %d: round %d w0 has dim %d, want %d",
+					sh.id, m.Round, len(m.W0), sh.st.dim)
+			}
+			sh.st.w0 = mat.Vector(m.W0)
+			if err := sh.st.round(m.Round, sh, info); err != nil {
 				return transport.Message{}, err
 			}
+			m = sh.dec
 		case transport.MsgShardDone:
 			if err := sh.noteObjective(m.Round, m.Xi); err != nil {
 				return transport.Message{}, err
@@ -449,133 +434,70 @@ func (sh *shardRun) noteObjective(round int, obj float64) error {
 	return nil
 }
 
-// round runs one CCCP round on this shard: gather device updates, ship the
-// consensus partials, apply the reduced z, until the aggregator ends the
-// round. Returns the decision message that ended it (the next shard-round,
-// or shard-done).
-func (sh *shardRun) round(round int, w0 mat.Vector, info *core.TrainInfo) (transport.Message, error) {
-	st := sh.st
-	if len(w0) != st.dim {
-		return transport.Message{}, fmt.Errorf("protocol: shard %d: round %d w0 has dim %d, want %d",
-			sh.id, round, len(w0), st.dim)
+// reduceZ is leg 1 of the cross-shard reduce: ship Σ(x_t+u_t), wait for
+// the aggregator's z.
+func (sh *shardRun) reduceZ(iter int, _ mat.Vector, sums []mat.Vector, n int) (mat.Vector, error) {
+	sh.pre = sh.agg.Stats()
+	waitStart := time.Now()
+	// Labeled is a free fixed-width field on shard-sums; it piggybacks
+	// this shard's health stamp (0 when no engine is attached, so the
+	// frame stays byte-identical to pre-health builds) for the
+	// aggregator's fleet rollup. No codec change.
+	if err := sh.agg.Send(transport.Message{Type: transport.MsgShardSum,
+		Round: iter, W0: sums[0], Users: n,
+		Labeled: sh.st.cfg.Core.Obs.HealthStamp()}); err != nil {
+		return nil, sh.aggLost(err)
 	}
-	st.epoch = round
-	st.w0 = w0
-	if fr := st.flight(); fr != nil {
-		fr.FlightRecord(obs.Record{Kind: obs.RecordCCCPStart, Round: round})
+	zm, err := sh.agg.Recv()
+	if err != nil {
+		return nil, sh.aggLost(err)
 	}
-	st.drainRejoins()
-
-	parts := st.active()
-	if len(parts) == 0 {
-		return transport.Message{}, fmt.Errorf("%w: shard %d has no live devices", ErrTooFewActive, sh.id)
+	sh.wait = time.Since(waitStart)
+	if zm.Type == transport.MsgError {
+		return nil, shardErrorCause(zm)
 	}
-	roundW0 := w0.Clone()
-	for _, t := range parts {
-		st.users[t].needSync = true
+	if zm.Type != transport.MsgShardZ || zm.Round != iter || len(zm.W0) != sh.st.dim {
+		return nil, fmt.Errorf("%w: got %v (round %d), want shard-z for iteration %d",
+			ErrUnexpectedMsg, zm.Type, zm.Round, iter)
 	}
-	// Scaled duals aligned with parts, zero-initialized for first-time
-	// participants exactly like admm.NewConsensus.
-	us := make([]mat.Vector, len(parts))
-	for i, t := range parts {
-		if u, ok := st.us[t]; ok {
-			us[i] = u
-		} else {
-			us[i] = mat.NewVector(st.dim)
-		}
+	return mat.Vector(zm.W0), nil
+}
+
+// decide is leg 2: ship the residual and objective partials, wait for the
+// aggregator's decision. Anything but shard-next ends the round.
+func (sh *shardRun) decide(iter int, _ time.Time, primals, objs []float64, n int) (bool, error) {
+	waitStart := time.Now()
+	if err := sh.agg.Send(transport.Message{Type: transport.MsgShardResid,
+		Round: iter, Xi: primals[0], W: []float64{objs[0]}, Users: n}); err != nil {
+		return false, sh.aggLost(err)
 	}
-	allSlots := make([]int, len(st.users))
-	for t := range allSlots {
-		allSlots[t] = t
+	dec, err := sh.agg.Recv()
+	if err != nil {
+		return false, sh.aggLost(err)
 	}
-	z := w0.Clone()
+	sh.wait += time.Since(waitStart)
 
-	for iter := 0; ; iter++ {
-		var roundStart time.Time
-		if st.cfg.Core.Obs != nil {
-			roundStart = time.Now()
-		}
-		xs, keep, err := st.gather(parts, gatherEnv{
-			round: round, iter: iter, roundStart: roundStart, roundW0: roundW0,
-			z:    z,
-			dual: func(i, t int) mat.Vector { return us[i] },
-			drop: func(t, pos int, cause error) error {
-				us = append(us[:pos], us[pos+1:]...)
-				return st.drop(t, pos, nil, cause)
-			},
-		})
-		if err != nil {
-			return transport.Message{}, err
-		}
-		parts = keep
+	stats := sh.agg.Stats()
+	bytes := (stats.BytesSent + stats.BytesReceived) - (sh.pre.BytesSent + sh.pre.BytesReceived)
+	sh.mReduce.Observe(sh.wait.Seconds())
+	sh.mBytes.Add(bytes)
+	if fr := sh.st.flight(); fr != nil {
+		fr.FlightRecord(obs.Record{Kind: obs.RecordShardReduce, Round: iter,
+			Shard: sh.id, Dur: sh.wait, Bytes: bytes})
+	}
 
-		// Cross-shard reduce, leg 1: ship Σ(x_t+u_t), wait for z.
-		preStats := sh.agg.Stats()
-		waitStart := time.Now()
-		// Labeled is a free fixed-width field on shard-sums; it piggybacks
-		// this shard's health stamp (0 when no engine is attached, so the
-		// frame stays byte-identical to pre-health builds) for the
-		// aggregator's fleet rollup. No codec change.
-		if err := sh.agg.Send(transport.Message{Type: transport.MsgShardSum,
-			Round: iter, W0: shard.SumXU(xs, us, st.dim), Users: len(xs),
-			Labeled: st.cfg.Core.Obs.HealthStamp()}); err != nil {
-			return transport.Message{}, sh.aggLost(err)
+	switch dec.Type {
+	case transport.MsgShardNext:
+		if dec.Round != iter+1 {
+			return false, fmt.Errorf("%w: shard-next for iteration %d, want %d",
+				ErrUnexpectedMsg, dec.Round, iter+1)
 		}
-		zm, err := sh.agg.Recv()
-		if err != nil {
-			return transport.Message{}, sh.aggLost(err)
-		}
-		wait := time.Since(waitStart)
-		if zm.Type == transport.MsgError {
-			return transport.Message{}, shardErrorCause(zm)
-		}
-		if zm.Type != transport.MsgShardZ || zm.Round != iter || len(zm.W0) != st.dim {
-			return transport.Message{}, fmt.Errorf("%w: got %v (round %d), want shard-z for iteration %d",
-				ErrUnexpectedMsg, zm.Type, zm.Round, iter)
-		}
-		z = mat.Vector(zm.W0)
-		primalSq := shard.ApplyZ(xs, us, z)
-		// Persist duals by user id for the next CCCP round.
-		for i, t := range parts {
-			st.us[t] = us[i]
-		}
-		objPartial := objectivePartial(st.users, allSlots, sh.lambdaOverT)
-
-		// Leg 2: ship the residual and objective partials, wait for the
-		// aggregator's decision.
-		waitStart = time.Now()
-		if err := sh.agg.Send(transport.Message{Type: transport.MsgShardResid,
-			Round: iter, Xi: primalSq, W: []float64{objPartial}, Users: len(xs)}); err != nil {
-			return transport.Message{}, sh.aggLost(err)
-		}
-		dec, err := sh.agg.Recv()
-		if err != nil {
-			return transport.Message{}, sh.aggLost(err)
-		}
-		wait += time.Since(waitStart)
-		info.ADMMIterations++
-
-		stats := sh.agg.Stats()
-		bytes := (stats.BytesSent + stats.BytesReceived) - (preStats.BytesSent + preStats.BytesReceived)
-		sh.mReduce.Observe(wait.Seconds())
-		sh.mBytes.Add(bytes)
-		if fr := st.flight(); fr != nil {
-			fr.FlightRecord(obs.Record{Kind: obs.RecordShardReduce, Round: iter,
-				Shard: sh.id, Dur: wait, Bytes: bytes})
-		}
-
-		switch dec.Type {
-		case transport.MsgShardNext:
-			if dec.Round != iter+1 {
-				return transport.Message{}, fmt.Errorf("%w: shard-next for iteration %d, want %d",
-					ErrUnexpectedMsg, dec.Round, iter+1)
-			}
-		case transport.MsgShardRound, transport.MsgShardDone, transport.MsgError:
-			st.w0 = z
-			return dec, nil
-		default:
-			return transport.Message{}, fmt.Errorf("%w: got %v from aggregator mid-round", ErrUnexpectedMsg, dec.Type)
-		}
+		return false, nil
+	case transport.MsgShardRound, transport.MsgShardDone, transport.MsgError:
+		sh.dec = dec
+		return true, nil
+	default:
+		return false, fmt.Errorf("%w: got %v from aggregator mid-round", ErrUnexpectedMsg, dec.Type)
 	}
 }
 
@@ -917,8 +839,7 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 	if len(conns) == 0 {
 		return nil, ErrNoConns
 	}
-	sc := ServerConfig{Core: cfg.Core, Dist: cfg.Dist}.withDefaults()
-	cfg.Core, cfg.Dist = sc.Core, sc.Dist
+	cfg.Core, cfg.Dist = cfg.Core.WithDefaults(), cfg.Dist.WithDefaults()
 	k := len(conns)
 
 	// Handshake: one shard-hello per connection, slotted by shard id. The
@@ -1020,55 +941,26 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 		}
 	}
 
-	r := cfg.Core.Obs
-	r.Counter(obs.MetricTrainRuns, "").Inc()
-	if r.FlightEnabled() {
-		r.FlightRecord(obs.Record{Kind: obs.RecordRunStart, Trainer: "agg", Users: globalT})
-	}
-
 	a := newAggRun(cfg, shards, dim, globalT, wire, w0, prior)
 	info := core.TrainInfo{}
-	cccpInfo, err := optimize.CCCPResumeGuarded(func(round int) (float64, error) {
-		var start time.Time
-		if cfg.Core.Obs != nil {
-			start = time.Now()
-		}
+	// A reduce that folded carried partials reports a mixed-round
+	// objective; the clean hint skips the descent and convergence tests
+	// around it so a shard outage cannot masquerade as convergence (or
+	// ascent) and end training early.
+	clean := func(int) bool { return !a.degraded }
+	err := core.RunCCCP(cfg.Core, "agg", globalT, prior, clean, &info, func(round int) (float64, int, error) {
 		obj, err := a.cccpRound(round, &info)
 		if err != nil {
-			return obj, err
-		}
-		if r := cfg.Core.Obs; r != nil {
-			r.Counter(obs.MetricCCCPIterations, "").Inc()
-			r.Gauge(obs.MetricTrainObjective, "").Set(obj)
-			r.Span(obs.Span{Kind: obs.SpanCCCPIteration, Start: start,
-				Dur: time.Since(start), Round: round, User: -1, Value: obj})
-			if r.FlightEnabled() {
-				r.FlightRecord(obs.Record{Kind: obs.RecordCCCPIteration, Round: round,
-					Objective: obj, SignFlips: -1, Dur: time.Since(start)})
-			}
+			return obj, -1, err
 		}
 		a.hist = append(a.hist, obj)
-		return obj, nil
-	}, cfg.Core.CCCPTol, cfg.Core.MaxCCCPIter, prior, func(int) bool {
-		// A reduce that folded carried partials reports a mixed-round
-		// objective; CCCPResumeGuarded skips the descent and convergence
-		// tests around it so a shard outage cannot masquerade as
-		// convergence (or ascent) and end training early.
-		return !a.degraded
+		return obj, -1, nil
 	})
-	if err != nil && !errors.Is(err, optimize.ErrNotDescending) {
+	if err != nil {
 		// Mid-run failure: abort already notified the delivered shards and
 		// closed the rest; a.close is idempotent.
 		a.close()
 		return nil, fmt.Errorf("protocol: RunAggregator: %w", err)
-	}
-	info.CCCPIterations = cccpInfo.Iterations
-	info.CCCPConverged = cccpInfo.Converged
-	info.Objective = cccpInfo.Objective
-	info.ObjectiveHistory = cccpInfo.History
-	if r.FlightEnabled() {
-		r.FlightRecord(obs.Record{Kind: obs.RecordRunEnd, Converged: cccpInfo.Converged,
-			Objective: cccpInfo.Objective, Round: cccpInfo.Iterations})
 	}
 
 	// One last drain before the final broadcast: a shard that finished its
@@ -1077,11 +969,11 @@ func RunAggregator(conns []transport.Conn, cfg AggConfig) (*AggResult, error) {
 	a.drainRejoins()
 
 	conv := 0
-	if cccpInfo.Converged {
+	if info.CCCPConverged {
 		conv = 1
 	}
 	done := transport.Message{Type: transport.MsgShardDone, W0: a.w0,
-		Round: cccpInfo.Iterations, Users: conv, Xi: cccpInfo.Objective}
+		Round: info.CCCPIterations, Users: conv, Xi: info.Objective}
 	for _, s := range a.shards {
 		if s.live {
 			_ = s.conn.Send(done) // parked in Recv awaiting the decision
@@ -1141,7 +1033,6 @@ func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
 		}
 	}
 
-	rho := a.cfg.Dist.Rho
 	z := a.w0.Clone()
 	var obj float64
 	for iter := 0; iter < a.cfg.Dist.MaxADMMIter; iter++ {
@@ -1150,9 +1041,9 @@ func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
 			roundStart = time.Now()
 		}
 
-		// Leg 1: fold the consensus sums in shard order — with the identical
-		// floating-point shape a single coordinator running ReduceGroups over
-		// this partition would use. A detached shard contributes its last
+		// Leg 1: fold the consensus sums in shard order through foldZ, the
+		// fold a single coordinator applies to its ReduceGroups partials. A
+		// detached shard contributes its last
 		// delivered partial for up to MaxStale iterations.
 		got := a.collect(iter, transport.MsgShardSum)
 		var sums []mat.Vector
@@ -1187,9 +1078,8 @@ func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
 		if repr < a.quorum {
 			return 0, a.abort(a.quorumErr(repr))
 		}
-		zNew := admm.SquaredNormZ(shard.Fold(sums), workers, rho)
-		var res admm.Residuals
-		res.Dual = rho * math.Sqrt(2*float64(workers)) * mat.Dist2(zNew, z)
+		zNew, dual := foldZ(sums, workers, a.cfg.Dist.Rho, z)
+		res := admm.Residuals{Dual: dual}
 
 		for id, s := range a.shards {
 			if !s.live {
@@ -1224,9 +1114,8 @@ func (a *aggRun) cccpRound(round int, info *core.TrainInfo) (float64, error) {
 		if repr < a.quorum {
 			return 0, a.abort(a.quorumErr(repr))
 		}
-		res.Primal = math.Sqrt(shard.FoldScalars(primals))
+		res.Primal, obj = foldResid(primals, objPartials, zNew)
 		z = zNew
-		obj = shard.FoldObjective(zNew.SquaredNorm(), objPartials)
 
 		info.ADMMIterations++
 		info.ADMMPrimal = res.Primal

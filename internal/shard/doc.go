@@ -8,11 +8,13 @@
 // sums plus one tiny cross-shard reduce per ADMM iteration. Because
 // floating-point addition is not associative, "the same sum" is not
 // automatic: this package fixes one summation shape — per-partition
-// partials folded in partition order — and both planes use it through the
-// same helpers (SumXU, ApplyZ, Fold, FoldInit). A single coordinator
-// configured with the matching ReduceGroups partition (see
-// protocol.ServerConfig) then reproduces the sharded result bit for bit,
-// which is what the pinned equivalence tests assert.
+// partials folded in partition order — and every reduction in the tree
+// runs through it. admm.Consensus.Step and core.FederatedInit are the
+// one-partition case; the wire coordinator and a shard run the same
+// synchronous round over their reduce groups (protocol.ServerConfig's
+// ReduceGroups, one group by default), so a sharded run and a single
+// coordinator grouped by the same partition agree bit for bit because
+// they execute the same code, not because copies are kept in step.
 //
 // The wire half of the plane lives in internal/protocol (RunShard,
 // RunAggregator, the MsgShard* kinds in internal/transport); the operator

@@ -3,17 +3,15 @@ package shard
 import "plos/internal/mat"
 
 // The helpers below fix the summation shape of every cross-user reduction
-// in the training protocol: a partition computes its partial with the same
-// per-element operations a single coordinator would use, and partials are
-// folded in partition order. Both the sharded plane and a single
-// coordinator running with ReduceGroups call these, so bit-identity
-// between the two is by construction rather than by luck. Keep the
-// floating-point operation sequences here in lockstep with
-// admm.Consensus.Step and core.FederatedInit.
+// in training: a partition computes its partial with per-element
+// operations in slot order, and partials are folded in partition order.
+// They are the only implementation of that shape — admm.Consensus.Step
+// and core.FederatedInit are written over them as the one-partition case,
+// and the coordinator, the shards and the aggregator all reduce through
+// them — so bit-identity between the planes comes from shared code.
 
 // SumXU is one partition's consensus partial Σ(x_i + u_i), accumulated in
-// index order exactly as admm.Consensus.Step does (x then u, per worker).
-// xs and us are aligned.
+// index order (x then u, per worker). xs and us are aligned.
 func SumXU(xs, us []mat.Vector, dim int) mat.Vector {
 	sum := mat.NewVector(dim)
 	for i, x := range xs {
@@ -25,8 +23,8 @@ func SumXU(xs, us []mat.Vector, dim int) mat.Vector {
 
 // ApplyZ folds a freshly reduced consensus z into one partition's scaled
 // duals (u_i += x_i − z, in place) and returns the partition's
-// primal-residual partial Σ‖x_i − z‖², mirroring the dual-update half of
-// admm.Consensus.Step.
+// primal-residual partial Σ‖x_i − z‖² — the dual-update half of a
+// consensus step.
 func ApplyZ(xs, us []mat.Vector, z mat.Vector) float64 {
 	var primalSq float64
 	for i, x := range xs {
@@ -66,7 +64,7 @@ func FoldScalars(partials []float64) float64 {
 
 // FoldObjective folds per-partition Eq. (23) objective partials onto the
 // global ‖w0‖² term in partition order — the objective shape shared by the
-// aggregator and a grouped single coordinator.
+// aggregator and the single coordinator.
 func FoldObjective(w0Sq float64, partials []float64) float64 {
 	obj := w0Sq
 	for _, p := range partials {
@@ -86,7 +84,7 @@ type InitPartial struct {
 }
 
 // NewInitPartial accumulates one partition's init contribution in slot
-// order, with the same skip-zero-weight structure as core.FederatedInit.
+// order; users with no positive label weight enter only the plain sum.
 func NewInitPartial(ws []mat.Vector, weights []float64, dim int) InitPartial {
 	p := InitPartial{Weighted: mat.NewVector(dim), Plain: mat.NewVector(dim)}
 	for i, w := range ws {
@@ -100,9 +98,8 @@ func NewInitPartial(ws []mat.Vector, weights []float64, dim int) InitPartial {
 }
 
 // FoldInit folds partition init contributions into the starting w0 for a
-// population of total users, reproducing core.FederatedInit's decision:
-// label-weighted average when any user has labels, plain average
-// otherwise. The result aliases no partial.
+// population of total users: the label-weighted average when any user has
+// labels, the plain average otherwise. The result aliases no partial.
 func FoldInit(partials []InitPartial, total int) mat.Vector {
 	if len(partials) == 0 || total == 0 {
 		return nil

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"plos/internal/core"
 	"plos/internal/mat"
 	"plos/internal/rng"
 )
@@ -22,20 +21,37 @@ func randVecs(seed int64, n, dim int) []mat.Vector {
 	return out
 }
 
-// One partition holding the whole population must reproduce
-// core.FederatedInit bit for bit — the K=1 leg of the bit-identity
-// contract — on both the label-weighted path and the no-labels fallback.
+// One partition holding the whole population must reproduce the
+// sequential federated-init loop bit for bit — the K=1 leg of the
+// bit-identity contract — on both the label-weighted path and the
+// no-labels fallback. The reference is the loop shape core.FederatedInit
+// had before it was written over NewInitPartial and FoldInit.
 func TestFoldInitSinglePartitionMatchesFederatedInit(t *testing.T) {
 	ws := randVecs(3, 7, 5)
 	for name, weights := range map[string][]float64{
 		"weighted": {3, 0, 1, 0, 2, 5, 0},
 		"fallback": {0, 0, 0, 0, 0, 0, 0},
 	} {
-		want := core.FederatedInit(ws, weights)
+		want := mat.NewVector(5)
+		var total float64
+		for i, w := range ws {
+			if weights[i] > 0 {
+				want.AddScaled(weights[i], w)
+				total += weights[i]
+			}
+		}
+		if total > 0 {
+			want.Scale(1 / total)
+		} else {
+			for _, w := range ws {
+				want.Add(w)
+			}
+			want.Scale(1 / float64(len(ws)))
+		}
 		got := FoldInit([]InitPartial{NewInitPartial(ws, weights, 5)}, len(ws))
 		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("%s: w0[%d] = %x, FederatedInit has %x", name, j, got[j], want[j])
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: w0[%d] = %x, sequential init has %x", name, j, got[j], want[j])
 			}
 		}
 	}

@@ -311,6 +311,11 @@ func DecodeMessage(data []byte) (Message, error) {
 			if *f, err = d.takeF64(); err != nil {
 				return Message{}, err
 			}
+			// A device must never train with a NaN or infinite
+			// hyperparameter from the wire.
+			if math.IsNaN(*f) || math.IsInf(*f, 0) {
+				return Message{}, fmt.Errorf("%w: non-finite config value %g", ErrCodec, *f)
+			}
 		}
 		var mi, qi int64
 		if mi, err = d.takeI64(); err != nil {

@@ -170,6 +170,22 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// A hello carrying a NaN or infinite hyperparameter is rejected at decode:
+// the device would otherwise train with it (and NaN breaks the fuzz
+// target's decode∘encode∘decode equality).
+func TestCodecRejectsNonFiniteConfig(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field := 0; field < 5; field++ {
+			c := WireConfig{Lambda: 50, Cl: 1, Cu: 0.2, Epsilon: 1e-3, Rho: 1}
+			*[]*float64{&c.Lambda, &c.Cl, &c.Cu, &c.Epsilon, &c.Rho}[field] = bad
+			frame := EncodeMessage(Message{Type: MsgHello, Users: 2, Config: &c})
+			if _, err := DecodeMessage(frame); !errors.Is(err, ErrCodec) {
+				t.Errorf("config field %d = %g: err %v, want ErrCodec", field, bad, err)
+			}
+		}
+	}
+}
+
 func TestCodecRejectsOversizedFrame(t *testing.T) {
 	if _, err := DecodeMessage(make([]byte, maxFrame+1)); err == nil {
 		t.Error("oversized frame accepted")

@@ -42,9 +42,9 @@ go test -race -count=1 -v \
     -run 'TestChaosSoakTraining|TestCheckpointResumeBitIdentical' \
     ./internal/protocol
 
-echo "== sharded-plane race smoke: 2-shard bit-identity + rebalance (docs/SHARDING.md) =="
+echo "== sharded-plane race smoke: 2-shard + 1-shard bit-identity, checkpoint handoff, rebalance (docs/SHARDING.md) =="
 go test -race -count=1 \
-    -run 'TestShardedBitIdenticalToSingleCoordinator|TestShardedRebalanceViaRing' \
+    -run 'TestShardedBitIdenticalToSingleCoordinator|TestShardedSingleShardDegenerates|TestShardedCheckpointHandoffBitIdentical|TestShardedRebalanceViaRing' \
     ./internal/protocol
 
 echo "== shard-FT race smoke: fault-free bit-identity + agg-link chaos + degraded quorum =="
@@ -55,6 +55,9 @@ go test -race -count=1 \
 echo "== shard kill/restore smoke: kill-9 soak (race) + real SIGKILL on a worker process =="
 go test -race -count=1 -v -run 'TestShardedKillRestoreRejoins' ./internal/protocol
 go test -count=1 -v -run 'TestShardKillRecover' ./cmd/plos-bench
+
+echo "== liveness smoke: plos-server end to end, 20 runs, no hang =="
+go test -count=20 -timeout 300s ./cmd/plos-server
 
 echo "== health smoke: /healthz 200 -> 503 -> 200 across a seeded kill/rejoin + piggyback + scrape hammer (race) =="
 go test -race -count=1 -v \
