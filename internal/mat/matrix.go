@@ -91,14 +91,35 @@ func (m *Matrix) MulVec(v Vector) Vector {
 
 // MulVecTo computes dst = m * v without allocating. dst must have length
 // m.Rows and v length m.Cols; dst must not alias v.
+//
+// Rows are taken four at a time so each load of v[j] feeds four
+// independent accumulators instead of one serial add chain. Every dst[i]
+// is still the left-to-right sum of m[i][j]·v[j], so the result is
+// bitwise the same as a plain row-by-row loop.
 func (m *Matrix) MulVecTo(dst, v Vector) {
 	checkLen("MulVecTo dst", len(dst), m.Rows)
 	checkLen("MulVecTo v", len(v), m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	n := len(v)
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[i*n:][:n]
+		r1 := m.Data[(i+1)*n:][:n]
+		r2 := m.Data[(i+2)*n:][:n]
+		r3 := m.Data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*n:][:n]
 		var s float64
-		for j, x := range row {
-			s += x * v[j]
+		for j, x := range v {
+			s += row[j] * x
 		}
 		dst[i] = s
 	}

@@ -335,3 +335,67 @@ func TestPropertyGershgorinBound(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// rowLoopMulVec is the plain one-row-at-a-time product MulVecTo must match
+// bit for bit: each dst[i] the left-to-right sum of m[i][j]·v[j].
+func rowLoopMulVec(m *Matrix, v Vector) Vector {
+	out := make(Vector, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		var s float64
+		for j, x := range m.Row(i) {
+			s += x * v[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+func TestMulVecToMatchesRowLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	check := func(rows, cols int) {
+		t.Helper()
+		m := randMatrix(r, rows, cols)
+		v := randVec(r, cols)
+		// Signed zeros, infinities and NaNs must flow through the same
+		// additions too.
+		if rows*cols > 3 {
+			m.Data[0], m.Data[1], m.Data[2] = math.Copysign(0, -1), math.Inf(1), math.NaN()
+		}
+		want := rowLoopMulVec(m, v)
+		got := make(Vector, rows)
+		for i := range got {
+			got[i] = 7 // MulVecTo must overwrite, not accumulate
+		}
+		m.MulVecTo(got, v)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) &&
+				!(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("%dx%d: dst[%d] = %v (%#x), row loop %v (%#x)", rows, cols,
+					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	for rows := 0; rows < 10; rows++ {
+		for cols := 0; cols < 10; cols++ {
+			check(rows, cols)
+		}
+	}
+	for k := 0; k < 50; k++ {
+		check(r.Intn(300), r.Intn(300))
+	}
+}
+
+// BenchmarkMulVecTo is the FISTA gradient G·y at the size of a
+// centralized HAR restricted dual (n ≈ 300).
+func BenchmarkMulVecTo(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	const n = 300
+	m := randMatrix(r, n, n)
+	v := randVec(r, n)
+	dst := make(Vector, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MulVecTo(dst, v)
+	}
+}

@@ -13,6 +13,11 @@
 // projection of Held, Wolfe & Crowder. The projection factorizes over
 // groups, so exactness is cheap.
 //
+// Every buffer of an iteration (the iterates, the per-group gather and sort
+// buffers, the covered-index mask) lives in a Scratch, so FISTA iterations
+// allocate nothing; the mask is computed once per Solve, together with
+// validating the groups.
+//
 // When Options.Obs is set, each Solve reports qp_solves_total,
 // qp_iterations_total, a qp_solve_seconds observation and a qp-solve trace
 // span; the solve itself is unaffected (same iterates, same stopping test).

@@ -2,7 +2,7 @@ package qp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"plos/internal/mat"
 )
@@ -20,33 +20,39 @@ func ProjectNonneg(x mat.Vector) {
 // {z >= 0, Σ z_i = b} using the O(n log n) sort-and-threshold algorithm.
 // It panics if b < 0.
 func ProjectSimplex(x mat.Vector, b float64) {
+	projectSimplex(x, b, make(mat.Vector, len(x)))
+}
+
+// projectSimplex is ProjectSimplex with a caller-provided sort buffer of
+// len(x).
+func projectSimplex(x mat.Vector, b float64, sorted mat.Vector) {
 	if b < 0 {
 		panic(fmt.Sprintf("qp: ProjectSimplex: negative budget %g", b))
 	}
-	if len(x) == 0 {
+	n := len(x)
+	if n == 0 {
 		return
 	}
 	if b == 0 {
 		x.Zero()
 		return
 	}
-	// Find threshold θ such that Σ max(x_i − θ, 0) = b.
-	sorted := x.Clone()
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	// Find threshold θ such that Σ max(x_i − θ, 0) = b, visiting the
+	// values in descending order: sorted ascending, read from the end.
+	copy(sorted, x)
+	slices.Sort(sorted)
 	var cum float64
-	theta := (sorted[0] - b) // fallback for k = 1
-	k := 0
-	for i, v := range sorted {
+	theta := sorted[n-1] - b // fallback for k = 1
+	for k := 1; k <= n; k++ {
+		v := sorted[n-k]
 		cum += v
-		t := (cum - b) / float64(i+1)
+		t := (cum - b) / float64(k)
 		if v-t > 0 {
 			theta = t
-			k = i + 1
 		} else {
 			break
 		}
 	}
-	_ = k
 	for i, v := range x {
 		if v-theta > 0 {
 			x[i] = v - theta
@@ -61,6 +67,12 @@ func ProjectSimplex(x mat.Vector, b float64) {
 // otherwise the projection lies on the face Σ z = b and reduces to
 // ProjectSimplex.
 func ProjectBudget(x mat.Vector, b float64) {
+	projectBudget(x, b, make(mat.Vector, len(x)))
+}
+
+// projectBudget is ProjectBudget with a caller-provided sort buffer of
+// len(x).
+func projectBudget(x mat.Vector, b float64, sorted mat.Vector) {
 	if b < 0 {
 		panic(fmt.Sprintf("qp: ProjectBudget: negative budget %g", b))
 	}
@@ -74,7 +86,7 @@ func ProjectBudget(x mat.Vector, b float64) {
 		ProjectNonneg(x)
 		return
 	}
-	ProjectSimplex(x, b)
+	projectSimplex(x, b, sorted)
 }
 
 // GroupSpec describes disjoint index groups, each with its own budget cap
@@ -89,48 +101,21 @@ type GroupSpec struct {
 // group/budget lengths match, budgets are nonnegative, indices are in range
 // and used at most once.
 func (s *GroupSpec) Validate(n int) error {
-	if len(s.Groups) != len(s.Budgets) {
-		return fmt.Errorf("qp: GroupSpec: %d groups but %d budgets", len(s.Groups), len(s.Budgets))
-	}
-	seen := make([]bool, n)
-	for g, idx := range s.Groups {
-		if s.Budgets[g] < 0 {
-			return fmt.Errorf("qp: GroupSpec: group %d has negative budget %g", g, s.Budgets[g])
-		}
-		for _, i := range idx {
-			if i < 0 || i >= n {
-				return fmt.Errorf("qp: GroupSpec: group %d index %d out of range [0,%d)", g, i, n)
-			}
-			if seen[i] {
-				return fmt.Errorf("qp: GroupSpec: index %d appears in multiple groups", i)
-			}
-			seen[i] = true
-		}
-	}
-	return nil
+	var sc Scratch
+	return sc.cover(s, n)
 }
 
 // Project projects x in place onto the feasible set described by the spec.
-// Because the groups are disjoint, the projection factorizes exactly.
+// Because the groups are disjoint, the projection factorizes exactly. It
+// panics if the spec is not valid for len(x). Each call allocates its
+// working buffers; Solve projects through a reused Scratch instead.
 func (s *GroupSpec) Project(x mat.Vector) {
-	covered := make([]bool, len(x))
-	buf := make(mat.Vector, 0, 16)
-	for g, idx := range s.Groups {
-		buf = buf[:0]
-		for _, i := range idx {
-			covered[i] = true
-			buf = append(buf, x[i])
-		}
-		ProjectBudget(buf, s.Budgets[g])
-		for k, i := range idx {
-			x[i] = buf[k]
-		}
+	var sc Scratch
+	if err := sc.cover(s, len(x)); err != nil {
+		panic(err)
 	}
-	for i, v := range x {
-		if !covered[i] && v < 0 {
-			x[i] = 0
-		}
-	}
+	sc.grow(len(x))
+	sc.project(s, x)
 }
 
 // Feasible reports whether x satisfies the constraints within tol.

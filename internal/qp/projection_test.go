@@ -3,6 +3,7 @@ package qp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -214,5 +215,185 @@ func TestGroupSpecFeasible(t *testing.T) {
 	}
 	if !spec.Feasible(mat.Vector{0.4, 0.6}, 1e-9) {
 		t.Error("boundary point should be feasible")
+	}
+}
+
+// sortReverseProjectSimplex is the original ProjectSimplex: clone, sort
+// descending through sort.Reverse, accumulate in that order. The shipped
+// kernel sorts a scratch buffer ascending and reads it from the end; it
+// must agree bit for bit.
+func sortReverseProjectSimplex(x mat.Vector, b float64) {
+	if len(x) == 0 {
+		return
+	}
+	if b == 0 {
+		x.Zero()
+		return
+	}
+	sorted := x.Clone()
+	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	var cum float64
+	theta := sorted[0] - b
+	for i, v := range sorted {
+		cum += v
+		t := (cum - b) / float64(i+1)
+		if v-t > 0 {
+			theta = t
+		} else {
+			break
+		}
+	}
+	for i, v := range x {
+		if v-theta > 0 {
+			x[i] = v - theta
+		} else {
+			x[i] = 0
+		}
+	}
+}
+
+func sameBits(a, b mat.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestProjectSimplexMatchesSortReverse(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inputs := []mat.Vector{
+		{},
+		{0.3},
+		{-2},
+		{1, 1, 1, 1},
+		{0.25, 0.25, 0.25},
+		{negZero, 0, negZero, 0},
+		{negZero, 0.5, 0, 0.5, -0.5},
+		{3, 1, 3, 1, 2, 2, -1, -1},
+		{1e-300, 1e300, -1e300, 1e-300},
+		{0.1, 0.2, 0.3, 0.1, 0.2, 0.3},
+	}
+	r := rand.New(rand.NewSource(5))
+	for k := 0; k < 300; k++ {
+		x := make(mat.Vector, 1+r.Intn(40))
+		for i := range x {
+			x[i] = r.NormFloat64()
+			if k%2 == 0 {
+				x[i] = math.Round(x[i]*4) / 4 // coarse grid: many ties and zeros
+			}
+		}
+		inputs = append(inputs, x)
+	}
+	for _, x := range inputs {
+		var clamped float64
+		for _, v := range x {
+			if v > 0 {
+				clamped += v
+			}
+		}
+		for _, b := range []float64{0, clamped / 2, clamped, clamped * 2, 1} {
+			want := x.Clone()
+			sortReverseProjectSimplex(want, b)
+			got := x.Clone()
+			ProjectSimplex(got, b)
+			if !sameBits(got, want) {
+				t.Fatalf("x=%v b=%v: got %v, sort.Reverse reference %v", x, b, got, want)
+			}
+		}
+	}
+}
+
+// referenceGroupProject is the original GroupSpec.Project: a fresh covered
+// mask and gather buffer per call, then a clamp pass over every index.
+func referenceGroupProject(s *GroupSpec, x mat.Vector) {
+	covered := make([]bool, len(x))
+	for g, idx := range s.Groups {
+		buf := make(mat.Vector, 0, len(idx))
+		for _, i := range idx {
+			covered[i] = true
+			buf = append(buf, x[i])
+		}
+		sum := 0.0
+		for _, v := range buf {
+			if v > 0 {
+				sum += v
+			}
+		}
+		if sum <= s.Budgets[g] {
+			ProjectNonneg(buf)
+		} else {
+			sortReverseProjectSimplex(buf, s.Budgets[g])
+		}
+		for k, i := range idx {
+			x[i] = buf[k]
+		}
+	}
+	for i, v := range x {
+		if !covered[i] && v < 0 {
+			x[i] = 0
+		}
+	}
+}
+
+// One Scratch projects through specs with and without ungrouped indices,
+// growing and shrinking between them, and matches the original bit for bit.
+func TestScratchProjectMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	var sc Scratch
+	for k := 0; k < 200; k++ {
+		n := 1 + r.Intn(60)
+		spec := randomPSDProblem(r, n, 1+r.Intn(8)).Groups
+		if err := sc.cover(&spec, n); err != nil {
+			t.Fatal(err)
+		}
+		sc.grow(n)
+		x := make(mat.Vector, n)
+		for i := range x {
+			x[i] = r.NormFloat64()
+		}
+		want := x.Clone()
+		referenceGroupProject(&spec, want)
+		sc.project(&spec, x)
+		if !sameBits(x, want) {
+			t.Fatalf("n=%d spec=%v: got %v, reference %v", n, spec, x, want)
+		}
+	}
+}
+
+// BenchmarkGroupProject is one FISTA projection at the shape of a
+// centralized HAR restricted dual: n = 300 duals in 10 per-user groups,
+// every group over its budget so each one takes the simplex path.
+func BenchmarkGroupProject(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	const n, groups = 300, 10
+	spec := GroupSpec{}
+	for g := 0; g < groups; g++ {
+		idx := make([]int, n/groups)
+		for k := range idx {
+			idx[k] = g*n/groups + k
+		}
+		spec.Groups = append(spec.Groups, idx)
+		spec.Budgets = append(spec.Budgets, 0.1)
+	}
+	src := make(mat.Vector, n)
+	for i := range src {
+		src[i] = r.NormFloat64()
+	}
+	x := make(mat.Vector, n)
+	var sc Scratch
+	if err := sc.cover(&spec, n); err != nil {
+		b.Fatal(err)
+	}
+	sc.grow(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, src)
+		sc.project(&spec, x)
 	}
 }

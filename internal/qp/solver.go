@@ -44,10 +44,12 @@ type Options struct {
 	// bound incrementally across related solves (GramCache) pass it here
 	// to keep per-solve setup proportional to what changed.
 	LipschitzBound float64
-	// Scratch, when non-nil, provides reusable iterate buffers so the
-	// FISTA loop allocates nothing per call (the returned solution is
-	// still a fresh vector the caller owns). One scratch must not be
-	// shared between concurrent solves.
+	// Scratch, when non-nil, provides the reusable iterate and projection
+	// buffers, so a solve that reuses one allocates only the returned
+	// solution (a fresh vector the caller owns) and, when it stops on
+	// MaxIter, its error. Without it Solve uses a fresh Scratch per call.
+	// The FISTA iterations themselves never allocate. One scratch must
+	// not be shared between concurrent solves.
 	Scratch *Scratch
 	// Obs, when non-nil, receives solve counts, cumulative iteration
 	// counts, a duration histogram and one SpanQPSolve per call. Purely
@@ -99,7 +101,11 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	if p.G.Rows != n || p.G.Cols != n {
 		return nil, Info{}, fmt.Errorf("qp: Solve: G is %dx%d but c has length %d", p.G.Rows, p.G.Cols, n)
 	}
-	if err := p.Groups.Validate(n); err != nil {
+	sc := o.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	if err := sc.cover(&p.Groups, n); err != nil {
 		return nil, Info{}, err
 	}
 	if o.X0 != nil && len(o.X0) != n {
@@ -118,19 +124,12 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	}
 	step := 1 / lip
 
-	var x, y, grad, xNext mat.Vector
-	if o.Scratch != nil {
-		x, y, grad, xNext = o.Scratch.buffers(n)
-		x.Zero()
-	} else {
-		x = make(mat.Vector, n)
-		y = make(mat.Vector, n)
-		grad = make(mat.Vector, n)
-		xNext = make(mat.Vector, n)
-	}
+	sc.grow(n)
+	x, y, grad, xNext := sc.iterates(n)
+	x.Zero()
 	if o.X0 != nil {
 		copy(x, o.X0)
-		p.Groups.Project(x)
+		sc.project(&p.Groups, x)
 	}
 	copy(y, x) // extrapolated point
 	tMom := 1.0
@@ -145,7 +144,7 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 		// xNext = Π(y − step·grad).
 		copy(xNext, y)
 		xNext.AddScaled(-step, grad)
-		p.Groups.Project(xNext)
+		sc.project(&p.Groups, xNext)
 
 		// Residual measured at the candidate step from y.
 		res := 0.0
@@ -171,7 +170,7 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 			for i := range y {
 				y[i] = xNext[i] + beta*(xNext[i]-x[i])
 			}
-			p.Groups.Project(y)
+			sc.project(&p.Groups, y)
 			tMom = tNext
 		}
 		x, xNext = xNext, x
@@ -193,10 +192,7 @@ func Solve(p *Problem, opts Options) (mat.Vector, Info, error) {
 	// its allocation.
 	p.G.MulVecTo(grad, x)
 	info.Objective = 0.5*x.Dot(grad) - p.C.Dot(x)
-	out := x
-	if o.Scratch != nil {
-		out = x.Clone() // the caller owns the result; scratch buffers are reused
-	}
+	out := x.Clone() // the caller owns the result; scratch buffers are reused
 	if !info.Converged {
 		return out, info, fmt.Errorf("%w after %d iterations (residual %.3g > tol %.3g)",
 			ErrMaxIterations, info.Iterations, info.Residual, o.Tol)

@@ -31,6 +31,9 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== allocation pin (no race detector: it perturbs allocation counts) =="
+go test -count=1 -run TestSolveAllocsIndependentOfIterations ./internal/qp
+
 echo "== bench bit-rot smoke: every benchmark compiles and runs once =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
